@@ -194,10 +194,9 @@ def cmd_threshold(cfg: dict) -> int:
     max_docs = int(th_cfg.get("max_docs", 100_000))
     percentiles = cfg.get("percentiles") or list(thresholds.PERCENTILE_PRESETS)
 
-    estimates = [
-        thresholds.estimate_threshold(manifest, pcfg, clf, float(p), strategy, max_docs)
-        for p in percentiles
-    ]
+    estimates = thresholds.estimate_thresholds(
+        manifest, pcfg, clf, [float(p) for p in percentiles], strategy, max_docs
+    )
     report = {
         **_stamp(cfg),
         "corpus_name": manifest.corpus_name,

@@ -23,7 +23,7 @@ from .errors import (
     RemoteUnavailableError,
     ZeroVectorError,
 )
-from .kernels import hashed_ngram_counts
+from .kernels import hashed_ngram_counts, hashed_ngram_matrix
 
 DEFAULT_DIM = 384
 DEFAULT_TRUNCATE_CHARS = 2048
@@ -82,6 +82,23 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def _check_hashed_dim(dim: int) -> None:
+    if dim < 8:
+        raise ConfigError("hashed embedding dim must be at least 8")
+
+
+def _unit_rows(counts: np.ndarray, texts: Sequence[str]) -> np.ndarray:
+    """L2-normalise each row of signed counts; row i was hashed from texts[i]."""
+    # the counts are small integers, so each squared norm is an exact sum
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        # all signed counts cancelled; vanishingly rare for real text
+        text = texts[zero[0]]
+        raise ZeroVectorError(f"signed hash counts cancelled for text {text[:40]!r}")
+    return counts / norms[:, None]
+
+
 def hashed_ngram_embed(
     text: str, dim: int, ngram_range: tuple[int, int] = (2, 4), seed: int = 0
 ) -> np.ndarray:
@@ -90,16 +107,11 @@ def hashed_ngram_embed(
     Pure function of (text, dim, ngram_range, seed); stable across
     platforms and backends. Output is L2-normalized.
     """
-    if dim < 8:
-        raise ConfigError("hashed embedding dim must be at least 8")
+    _check_hashed_dim(dim)
     if not text:
         raise EmptyInputError("cannot embed empty text")
     counts = hashed_ngram_counts(text.lower(), dim, ngram_range[0], ngram_range[1], seed)
-    norm = float(np.linalg.norm(counts))
-    if norm == 0.0:
-        # all signed counts cancelled; vanishingly rare for real text
-        raise ZeroVectorError(f"signed hash counts cancelled for text {text[:40]!r}")
-    return counts / norm
+    return _unit_rows(counts[None, :], [text])[0]
 
 
 class HashedNgramProvider:
@@ -107,16 +119,19 @@ class HashedNgramProvider:
         self.config = config
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """Truncate each text, then embed the batch in one kernel call.
+        Truncation comes first because lowercasing can change the length."""
         cfg = self.config
         if not texts:
             raise EmptyInputError("embed_batch called with no texts")
-        out = np.empty((len(texts), cfg.dim), dtype=np.float64)
-        for i, text in enumerate(texts):
-            clipped = text[: cfg.truncate_chars]
-            if not clipped:
+        clipped = [text[: cfg.truncate_chars] for text in texts]
+        for i, text in enumerate(clipped):
+            if not text:
                 raise EmptyInputError(f"text {i} empty after truncation")
-            out[i] = hashed_ngram_embed(clipped, cfg.dim, cfg.ngram_range, cfg.seed)
-        return out
+        _check_hashed_dim(cfg.dim)
+        lo, hi = cfg.ngram_range
+        counts = hashed_ngram_matrix([t.lower() for t in clipped], cfg.dim, lo, hi, cfg.seed)
+        return _unit_rows(counts, clipped)
 
 
 class RemoteProvider:

@@ -29,6 +29,7 @@ from .corpus_io import (
 )
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
 from .errors import (
+    DataError,
     DimensionMismatchError,
     EmptyScoresError,
     MissingScoreError,
@@ -52,6 +53,7 @@ class ThresholdEstimate:
 class FilterStats:
     docs_in: int
     docs_out: int
+    docs_malformed: int
     retention: float
     score_histogram: list[int]
     tau: float
@@ -116,13 +118,26 @@ def score_corpus(
     return count
 
 
-def load_scores(path: str) -> dict[str, float]:
-    scores: dict[str, float] = {}
+def _read_score_records(path: str):
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                rec = json.loads(line)
-                scores[rec["doc_id"]] = float(rec["score"])
+                yield json.loads(line)
+
+
+def load_scores(path: str) -> dict[str, float]:
+    """Map each doc_id to its score; a doc_id seen twice is a DataError,
+    since the filter could not tell the two documents apart."""
+    scores: dict[str, float] = {}
+    for rec in _read_score_records(path):
+        doc_id = rec["doc_id"]
+        if doc_id in scores:
+            first = next(r.get("shard") for r in _read_score_records(path) if r["doc_id"] == doc_id)
+            raise DataError(
+                f"{path}: document id {doc_id!r} is scored in shard {first!r} "
+                f"and again in shard {rec.get('shard')!r}"
+            )
+        scores[doc_id] = float(rec["score"])
     return scores
 
 
@@ -135,9 +150,11 @@ def apply_filter(
     hist = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     docs_in = 0
     docs_out = 0
+    docs_malformed = 0
     for path in manifest.shard_paths:
         kept = []
-        for doc in read_shard(path):
+        stream = read_shard(path)
+        for doc in stream:
             docs_in += 1
             if doc.id not in scores:
                 raise MissingScoreError(f"no score for document {doc.id!r} in {path}")
@@ -145,11 +162,13 @@ def apply_filter(
             hist[min(int(s * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
             if s > tau:
                 kept.append(doc)
+        docs_malformed += len(stream.malformed)
         docs_out += write_shard(os.path.join(out_dir, os.path.basename(path)), kept)
     retention = docs_out / docs_in if docs_in else 0.0
     return FilterStats(
         docs_in=docs_in,
         docs_out=docs_out,
+        docs_malformed=docs_malformed,
         retention=retention,
         score_histogram=hist.tolist(),
         tau=tau,
@@ -162,6 +181,33 @@ def _sample_scores(manifest, provider, clf, strategy, max_docs) -> np.ndarray:
     return clf_mod.score_batch(clf, X)
 
 
+def estimate_thresholds(
+    manifest: CorpusManifest,
+    provider_config: EmbeddingProviderConfig,
+    clf: clf_mod.LinearClassifier,
+    percentiles: list[float],
+    strategy: FirstFile | RandomFiles = FirstFile(),
+    max_docs: int = 100_000,
+) -> list[ThresholdEstimate]:
+    """One estimate per percentile, all from one scored sample."""
+    provider = get_provider(provider_config)
+    scores = _sample_scores(manifest, provider, clf, strategy, max_docs)
+    if isinstance(strategy, FirstFile):
+        strat = "first_file"
+    else:
+        strat = f"random_files({strategy.n},{strategy.seed})"
+    return [
+        ThresholdEstimate(
+            percentile=percentile,
+            tau=estimate_percentile_threshold(scores, percentile),
+            sample_size=int(scores.size),
+            strategy=strat,
+            corpus_name=manifest.corpus_name,
+        )
+        for percentile in percentiles
+    ]
+
+
 def estimate_threshold(
     manifest: CorpusManifest,
     provider_config: EmbeddingProviderConfig,
@@ -170,20 +216,9 @@ def estimate_threshold(
     strategy: FirstFile | RandomFiles = FirstFile(),
     max_docs: int = 100_000,
 ) -> ThresholdEstimate:
-    provider = get_provider(provider_config)
-    scores = _sample_scores(manifest, provider, clf, strategy, max_docs)
-    tau = estimate_percentile_threshold(scores, percentile)
-    if isinstance(strategy, FirstFile):
-        strat = "first_file"
-    else:
-        strat = f"random_files({strategy.n},{strategy.seed})"
-    return ThresholdEstimate(
-        percentile=percentile,
-        tau=tau,
-        sample_size=int(scores.size),
-        strategy=strat,
-        corpus_name=manifest.corpus_name,
-    )
+    return estimate_thresholds(
+        manifest, provider_config, clf, [percentile], strategy, max_docs
+    )[0]
 
 
 def compare_sampling_strategies(

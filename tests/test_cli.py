@@ -95,6 +95,7 @@ def test_full_pipeline_and_retention_ordering(tmp_path):
         assert run("filter", cfg_path) == 0
         stats = json.load(open(os.path.join(cfg["output_dir"], "filter_stats.json")))
         retentions.append(stats["retention"])
+        assert stats["docs_malformed"] == 0
     assert retentions == sorted(retentions, reverse=True)
     # headline setting keeps roughly a tenth of the corpus
     assert 0.05 <= retentions[-1] <= 0.15
@@ -243,3 +244,18 @@ def test_filtered_output_matches_rescoring_oracle(tmp_path):
         for doc in read_shard(path):
             s = clf_mod.score(clf, embed_batch(pcfg, [doc.text])[0])
             assert (doc.id in kept_ids) == (s > tau), doc.id
+
+
+def test_filter_rejects_duplicate_ids_naming_both_shards(tmp_path, capsys):
+    cfg, cfg_path, manifest = build_workspace(tmp_path)
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    a, b = (os.path.basename(p) for p in manifest.shard_paths)
+    with open(cfg["scores"], "w") as fh:
+        fh.write(json.dumps({"doc_id": "x", "score": 0.9, "shard": a}) + "\n")
+        fh.write(json.dumps({"doc_id": "x", "score": 0.1, "shard": b}) + "\n")
+    cfg["filter"] = {"tau": 0.5}
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    assert run("filter", cfg_path) == 3
+    err = capsys.readouterr().err
+    assert a in err and b in err

@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from corpusfilter import kernels
-from corpusfilter._hash_ref import hashed_ngram_counts as ref_counts
+from corpusfilter import _hash_ref, kernels
+from corpusfilter.embedding import EmbeddingProviderConfig, get_provider, hashed_ngram_embed
 
 from conftest import make_text
+from fnv_spec import spec_counts
 
 try:
     from corpusfilter._hash_fast import hashed_ngram_counts as fast_counts
@@ -15,38 +16,87 @@ try:
 except ImportError:
     HAVE_EXT = False
 
+MULTIBYTE_TEXTS = [
+    "héllo wörld",
+    "拼音漢字テストです",
+    "смесь кириллицы and ascii",
+    "emoji \U0001f600 mixed \U0001f680 text",
+    "aé中\U0001f600z",  # 1-, 2-, 3-, 4-byte chars adjacent
+    "\U0001f600\U0001f680\U0001f4a9",  # emoji only
+    "İstanbul İİ",  # lowercases to a longer string
+    "a",  # shorter than most n
+    "",  # an empty row inside a batch
+    "ab",
+]
+CASES = [(16, 1, 1, 0), (64, 2, 4, 3), (128, 1, 5, 2**63), (384, 2, 4, 0)]
+
+
+def ascii_texts(n=50):
+    rng = random.Random(0)
+    return [make_text(rng, rng.random()).lower() for _ in range(n)]
+
+
+def multibyte_texts():
+    return MULTIBYTE_TEXTS + [t.lower() for t in MULTIBYTE_TEXTS]
+
 
 def test_backend_is_reported():
     assert kernels.HASH_BACKEND in ("cython", "python")
 
 
+# the shipped batch kernel, and the numpy one too where the compiled one ships
+MATRIX_KERNELS = list(dict.fromkeys([kernels.hashed_ngram_matrix, _hash_ref.hashed_ngram_matrix]))
+
+
+@pytest.mark.parametrize("kernel", MATRIX_KERNELS, ids=lambda k: k.__module__)
+@pytest.mark.parametrize("dim,lo,hi,seed", CASES)
+def test_batch_kernel_matches_spec(kernel, dim, lo, hi, seed):
+    texts = multibyte_texts() + ascii_texts(10)
+    mat = kernel(texts, dim, lo, hi, seed)
+    assert mat.shape == (len(texts), dim) and mat.dtype == np.float64
+    for text, row in zip(texts, mat):
+        assert np.array_equal(row, spec_counts(text, dim, lo, hi, seed)), (text, dim, lo, hi, seed)
+
+
+def test_numpy_kernel_matches_spec_on_random_mixed_width_text():
+    rng = random.Random(3)
+    alphabet = "ab cdé ßж中文\U0001f600İ"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 30))) for _ in range(200)]
+    mat = _hash_ref.hashed_ngram_matrix(texts, 32, 1, 4, 11)
+    for text, row in zip(texts, mat):
+        assert np.array_equal(row, spec_counts(text, 32, 1, 4, 11)), text
+
+
+def test_batch_row_equals_text_alone():
+    texts = multibyte_texts() + ascii_texts(5)
+    mat = kernels.hashed_ngram_matrix(texts, 64, 2, 4, 0)
+    for i, text in enumerate(texts):
+        assert np.array_equal(mat[i], kernels.hashed_ngram_matrix([text], 64, 2, 4, 0)[0])
+        assert np.array_equal(mat[i], kernels.hashed_ngram_counts(text, 64, 2, 4, 0))
+
+
+def test_provider_batch_equals_single_text_embedding():
+    cfg = EmbeddingProviderConfig(kind="hashed_ngram", dim=64, truncate_chars=12)
+    texts = [t for t in multibyte_texts() if len(t) > 2] + ascii_texts(5)
+    X = get_provider(cfg).embed_batch(texts)
+    for text, row in zip(texts, X):
+        assert np.array_equal(row, hashed_ngram_embed(text[:12], 64, cfg.ngram_range, cfg.seed))
+        counts = spec_counts(text[:12].lower(), 64, 2, 4, 0)
+        assert np.array_equal(row, counts / np.linalg.norm(counts))
+
+
 @pytest.mark.skipif(not HAVE_EXT, reason="compiled kernel not built")
 def test_backends_bit_identical_ascii():
-    rng = random.Random(0)
-    for _ in range(50):
-        text = make_text(rng, rng.random()).lower()
-        a = ref_counts(text, 64, 1, 4, 7)
-        b = fast_counts(text, 64, 1, 4, 7)
-        assert np.array_equal(a, b)
+    for text in ascii_texts():
+        assert np.array_equal(spec_counts(text, 64, 1, 4, 7), fast_counts(text, 64, 1, 4, 7))
 
 
 @pytest.mark.skipif(not HAVE_EXT, reason="compiled kernel not built")
 def test_backends_bit_identical_multibyte():
-    texts = [
-        "héllo wörld",
-        "拼音漢字テストです",
-        "смесь кириллицы and ascii",
-        "emoji \U0001f600 mixed \U0001f680 text",
-        "aé中\U0001f600z",  # 1-, 2-, 3-, 4-byte chars adjacent
-    ]
-    for text in texts:
-        for dim, lo, hi, seed in (
-            (16, 1, 1, 0),
-            (64, 2, 4, 3),
-            (128, 1, 5, 2**63),
-        ):
-            a = ref_counts(text.lower(), dim, lo, hi, seed)
-            b = fast_counts(text.lower(), dim, lo, hi, seed)
+    for text in multibyte_texts():
+        for dim, lo, hi, seed in CASES:
+            a = spec_counts(text, dim, lo, hi, seed)
+            b = fast_counts(text, dim, lo, hi, seed)
             assert np.array_equal(a, b), (text, dim, lo, hi, seed)
 
 

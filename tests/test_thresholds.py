@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from corpusfilter.classifier import score_batch
-from corpusfilter.corpus_io import CorpusManifest, read_shard, write_shard
-from corpusfilter.embedding import get_provider
+from corpusfilter.corpus_io import CorpusManifest, doc_to_line, read_shard, write_shard
+from corpusfilter.embedding import HashedNgramProvider, get_provider
 from corpusfilter.errors import (
+    DataError,
     EmptyScoresError,
     MissingScoreError,
     PercentileOutOfRangeError,
@@ -16,6 +17,7 @@ from corpusfilter.thresholds import (
     compare_sampling_strategies,
     estimate_percentile_threshold,
     estimate_threshold,
+    estimate_thresholds,
     load_scores,
     score_cache_path,
     score_corpus,
@@ -237,6 +239,20 @@ def test_estimate_threshold_reports_strategy(tmp_path, seed_classifier):
     assert est.corpus_name == "syncorpus"
 
 
+def test_estimate_thresholds_embed_the_sample_once(tmp_path, seed_classifier, monkeypatch):
+    clf, _, _ = seed_classifier
+    manifest = make_corpus(tmp_path, n_shards=3, docs_per_shard=30)
+    singles = [estimate_threshold(manifest, hashed_config(), clf, p) for p in (30, 60, 90)]
+    calls = []
+    embed = HashedNgramProvider.embed_batch
+    monkeypatch.setattr(
+        HashedNgramProvider, "embed_batch", lambda self, texts: calls.append(1) or embed(self, texts)
+    )
+    batch = estimate_thresholds(manifest, hashed_config(), clf, [30, 60, 90])
+    assert [vars(e) for e in batch] == [vars(e) for e in singles]
+    assert len(calls) == 1
+
+
 def test_score_cache_path_depends_on_classifier(tmp_path, seed_classifier):
     clf, _, _ = seed_classifier
     manifest = make_corpus(tmp_path, n_shards=1, docs_per_shard=3)
@@ -282,3 +298,39 @@ def test_histogram_counts_score_of_one_in_last_bin(tmp_path):
     stats = apply_filter(manifest, scores_path, 0.5, str(tmp_path / "o"))
     assert stats.score_histogram[-1] == 1
     assert stats.score_histogram[0] == 1
+
+
+def test_duplicate_doc_id_across_shards_is_a_data_error(tmp_path):
+    # id x scored 0.9 in shard a and 0.1 in shard b: no score can stand for both
+    doc = make_docs(1)[0]
+    doc.id = "x"
+    paths = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+    for path in paths:
+        write_shard(path, [doc])
+    manifest = CorpusManifest(corpus_name="c", lang="en", shard_paths=paths)
+    scores_path = str(tmp_path / "scores.jsonl")
+    write_scores(
+        scores_path,
+        [
+            {"doc_id": "x", "score": 0.9, "shard": "a.jsonl"},
+            {"doc_id": "x", "score": 0.1, "shard": "b.jsonl"},
+        ],
+    )
+    with pytest.raises(DataError, match="a.jsonl.*b.jsonl"):
+        load_scores(scores_path)
+    with pytest.raises(DataError):
+        apply_filter(manifest, scores_path, 0.5, str(tmp_path / "out"))
+
+
+def test_filter_counts_malformed_lines(tmp_path):
+    shard = str(tmp_path / "x.jsonl")
+    docs = make_docs(2)
+    with open(shard, "w", encoding="utf-8") as fh:
+        fh.write(doc_to_line(docs[0]) + "\n")
+        fh.write("{not json at all\n")
+        fh.write(doc_to_line(docs[1]) + "\n")
+    manifest = CorpusManifest(corpus_name="c", lang="en", shard_paths=[shard])
+    scores_path = str(tmp_path / "scores.jsonl")
+    write_scores(scores_path, [{"doc_id": d.id, "score": 0.7, "shard": "x.jsonl"} for d in docs])
+    stats = apply_filter(manifest, scores_path, 0.5, str(tmp_path / "out"))
+    assert (stats.docs_in, stats.docs_out, stats.docs_malformed) == (2, 2, 1)
