@@ -6,6 +6,14 @@ total variation distance between their cluster histograms. Two corpora
 drawn from the same underlying distribution land in the same clusters
 even when they are in different languages, which is what makes an
 English-trained filter usable elsewhere.
+
+Squared distances come from one helper, `_sq_distances`, which expands
+||x - c||^2 as ||x||^2 - 2 x.c + ||c||^2 with one matrix product per block
+of `_BLOCK_ROWS` rows. A fit over n points of dimension d therefore holds
+X, one X-sized work array for the WCSS, and O(n*K + block*d) for the
+distances; no (n, K, d) array is ever built. Nearest-centroid assignment
+settles near ties with the direct sum of squared differences, so that
+ties go to the lowest cluster id exactly as the direct form would.
 """
 
 from __future__ import annotations
@@ -64,18 +72,60 @@ def _as_matrix(points) -> np.ndarray:
     return X
 
 
+_BLOCK_ROWS = 4096
+
+# Rows whose two nearest centroids are closer than this, relative to
+# ||x||^2 + max ||c||^2, are settled again with the direct form. The expanded
+# form's rounding error is a few d * 2^-53 of that scale.
+_TIE_RTOL = 1e-10
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(n, K) squared distances from each row of X to each row of C in the
+    expanded form, computed one block of rows at a time."""
+    cc = _row_norms(C)
+    D = np.empty((X.shape[0], C.shape[0]))
+    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+        blk, out = X[lo : lo + _BLOCK_ROWS], D[lo : lo + _BLOCK_ROWS]
+        np.matmul(blk, C.T, out=out)
+        out *= -2.0
+        out += _row_norms(blk)[:, None]
+        out += cc
+        np.maximum(out, 0.0, out=out)
+    return D
+
+
+def _direct_sq_distances(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Sum of squared differences from each row of X to the point c, one
+    block of rows at a time; bit-identical to ((X - c) ** 2).sum(axis=1)."""
+    n = X.shape[0]
+    d2 = np.empty(n)
+    work = np.empty((min(n, _BLOCK_ROWS), X.shape[1]))
+    for lo in range(0, n, _BLOCK_ROWS):
+        blk = X[lo : lo + _BLOCK_ROWS]
+        diff = np.subtract(blk, c, out=work[: blk.shape[0]])
+        diff *= diff
+        diff.sum(axis=1, out=d2[lo : lo + _BLOCK_ROWS])
+    return d2
+
+
 def _kmeans_pp_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    # the direct form keeps d2, and so the seeded draws, bit-stable
     n = X.shape[0]
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    d2 = _direct_sq_distances(X, centroids[0])
     for k in range(1, K):
         total = d2.sum()
         if total <= 0:
             centroids[k] = X[rng.integers(n)]
         else:
             centroids[k] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centroids[k]) ** 2, axis=1))
+        np.minimum(d2, _direct_sq_distances(X, centroids[k]), out=d2)
     return centroids
 
 
@@ -102,7 +152,10 @@ def _balanced_assign(D: np.ndarray, capacity: int) -> np.ndarray:
 
 
 def _wcss(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.sum((X - centroids[labels]) ** 2))
+    diff = centroids[labels]
+    np.subtract(X, diff, out=diff)
+    diff *= diff
+    return float(diff.sum())
 
 
 def fit_balanced_kmeans(
@@ -120,8 +173,7 @@ def fit_balanced_kmeans(
     best_wcss = np.inf
     history: list[float] = []
     for _ in range(max_iters):
-        D = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = _balanced_assign(D, capacity)
+        new_labels = _balanced_assign(_sq_distances(X, centroids), capacity)
         new_centroids = centroids.copy()
         for k in range(K):
             members = X[new_labels == k]
@@ -154,31 +206,41 @@ def assign_batch(model: ClusterModel, X) -> np.ndarray:
     X = _as_matrix(X)
     if X.shape[1] != model.dim:
         raise DimensionMismatchError(f"point dim {X.shape[1]} != model dim {model.dim}")
-    D = ((X[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(D, axis=1)
+    C = model.centroids
+    D = _sq_distances(X, C)
+    labels = np.argmin(D, axis=1)
+    if model.K > 1:
+        two = np.partition(D, 1, axis=1)
+        tol = _TIE_RTOL * (_row_norms(X) + _row_norms(C).max())
+        for i in np.flatnonzero(two[:, 1] - two[:, 0] <= tol):
+            labels[i] = np.argmin(_direct_sq_distances(C, X[i]))
+    return labels
+
+
+def _row_blocks(dataset: Iterable):
+    """2-D arrays of at most `_BLOCK_ROWS` rows: slices of a 2-D array, or
+    batches of the rows an iterable yields."""
+    if isinstance(dataset, np.ndarray) and dataset.ndim == 2:
+        for lo in range(0, dataset.shape[0], _BLOCK_ROWS):
+            yield dataset[lo : lo + _BLOCK_ROWS]
+        return
+    batch: list = []
+    for x in dataset:
+        batch.append(x)
+        if len(batch) == _BLOCK_ROWS:
+            yield _as_matrix(batch)
+            batch = []
+    if batch:
+        yield _as_matrix(batch)
 
 
 def histogram_over_clusters(
     model: ClusterModel, dataset: Iterable, name: str
 ) -> ClusterHistogram:
     counts = np.zeros(model.K, dtype=np.int64)
-    batch: list[np.ndarray] = []
-    total = 0
-
-    def flush():
-        nonlocal total
-        if batch:
-            ids = assign_batch(model, np.stack(batch))
-            np.add.at(counts, ids, 1)
-            total += len(batch)
-            batch.clear()
-
-    for x in dataset:
-        batch.append(np.asarray(x, dtype=np.float64))
-        if len(batch) >= 4096:
-            flush()
-    flush()
-    if total == 0:
+    for block in _row_blocks(dataset):
+        counts += np.bincount(assign_batch(model, block), minlength=model.K)
+    if counts.sum() == 0:
         raise EmptyDatasetError(f"dataset {name!r} is empty")
     return ClusterHistogram(dataset_name=name, counts=counts)
 

@@ -69,6 +69,13 @@ def doc_to_line(doc: Document) -> str:
     return json.dumps(rec, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
+def _require_utf8(name: str, value: str) -> None:
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"field {name!r} is not valid Unicode: {exc.reason}") from None
+
+
 def _line_to_doc(line: str) -> Document:
     rec = json.loads(line)
     if not isinstance(rec, dict):
@@ -78,12 +85,20 @@ def _line_to_doc(line: str) -> Document:
             raise ValueError(f"missing field {name!r}")
         if not isinstance(rec[name], str):
             raise ValueError(f"field {name!r} is not a string")
+    meta = dict(rec.get("meta") or {})
+    # a lone surrogate, which no UTF-8 encoder (the n-gram kernel's, a shard
+    # writer's) accepts, can only come from a \u escape in the line
+    if "\\" in line:
+        for name in REQUIRED_FIELDS:
+            _require_utf8(name, rec[name])
+        if meta:
+            _require_utf8("meta", json.dumps(meta, ensure_ascii=False))
     doc = Document(
         id=rec["id"],
         text=rec["text"],
         lang=rec["lang"],
         source=rec["source"],
-        meta=dict(rec.get("meta") or {}),
+        meta=meta,
     )
     doc.validate()
     return doc

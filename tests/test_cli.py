@@ -117,6 +117,22 @@ def test_filter_missing_scores_fails_with_doc_named(tmp_path, capsys):
     assert missing_id in capsys.readouterr().err
 
 
+def test_score_skips_a_lone_surrogate_line(tmp_path):
+    cfg, cfg_path, manifest = build_workspace(tmp_path)
+    with open(manifest.shard_paths[0], "a", encoding="utf-8") as fh:
+        fh.write('{"id":"bad","text":"lone \\ud800","lang":"en","source":"s"}\n')
+    assert run("train-filter", cfg_path) == 0
+    assert run("score", cfg_path) == 0
+    ids = [json.loads(line)["doc_id"] for line in open(cfg["scores"])]
+    assert len(ids) == 100 and "bad" not in ids
+    cfg["filter"] = {"tau": 0.5}
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    assert run("filter", cfg_path) == 0
+    stats = json.load(open(os.path.join(cfg["output_dir"], "filter_stats.json")))
+    assert stats["docs_in"] == 100 and stats["docs_malformed"] == 1
+
+
 def test_score_and_reports_are_reproducible(tmp_path):
     cfg, cfg_path, _ = build_workspace(tmp_path)
     for cmd in ("train-filter", "score", "threshold"):

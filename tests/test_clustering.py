@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corpusfilter.clustering import (
+    _BLOCK_ROWS,
     ClusterHistogram,
+    ClusterModel,
+    _sq_distances,
     assign,
     assign_batch,
     fit_balanced_kmeans,
@@ -30,6 +34,55 @@ def two_blobs(n, separation=8.0, dim=4, seed=0):
     X[half:, 0] += separation / 2
     truth = np.array([0] * half + [1] * (n - half))
     return X, truth
+
+
+def reference_fit(X, K, seed, max_iters=50):
+    """Balanced k-means with every distance summed directly over the
+    (n, K, d) differences; returns (labels, centroids, wcss history)."""
+    n = X.shape[0]
+    capacity = math.ceil(n / K)
+    rng = np.random.default_rng(seed)
+    C = np.empty((K, X.shape[1]))
+    C[0] = X[rng.integers(n)]
+    d2 = np.sum((X - C[0]) ** 2, axis=1)
+    for k in range(1, K):
+        total = d2.sum()
+        C[k] = X[rng.integers(n)] if total <= 0 else X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((X - C[k]) ** 2, axis=1))
+    labels, best, history = None, np.inf, []
+    for _ in range(max_iters):
+        D = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+        ranked = np.argsort(D, axis=1, kind="stable")
+        sizes = np.zeros(K, dtype=np.int64)
+        new_labels = np.full(n, -1, dtype=np.int64)
+        for i in np.argsort(D.min(axis=1), kind="stable"):
+            k = next(k for k in ranked[i] if sizes[k] < capacity)
+            new_labels[i] = k
+            sizes[k] += 1
+        new_C = C.copy()
+        for k in range(K):
+            if np.any(new_labels == k):
+                new_C[k] = X[new_labels == k].mean(axis=0)
+        wcss = float(np.sum((X - new_C[new_labels]) ** 2))
+        if labels is not None and wcss >= best - 1e-12:
+            break
+        converged = labels is not None and np.array_equal(new_labels, labels)
+        labels, C, best = new_labels, new_C, wcss
+        history.append(wcss)
+        if converged:
+            break
+    return labels, C, history
+
+
+def criterion_07_inputs():
+    for seed in range(5):
+        yield np.random.default_rng(seed).normal(size=(157, 4)), 9, seed
+    yield np.random.default_rng(77).normal(size=(64, 3)) * 5, 64, 0
+    for seed in range(20):
+        X = np.random.default_rng(seed).normal(size=(200, 4))
+        X[:100, 0] -= 4.0
+        X[100:, 0] += 4.0
+        yield X, 2, seed
 
 
 # ------------------------------------------------- fitting
@@ -89,6 +142,29 @@ def test_duplicates_allowed_capacity_enforced():
     assert sizes.max() <= 4
 
 
+def test_fit_equals_direct_form_reference():
+    for X, K, seed in criterion_07_inputs():
+        model = fit_balanced_kmeans(X, K=K, seed=seed)
+        labels, centroids, history = reference_fit(X, K, seed)
+        assert np.array_equal(model.labels_, labels)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.wcss_history_ == history
+
+
+def test_fit_and_histogram_memory_is_linear():
+    n, K, d = 8000, 64, 384
+    X = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        model = fit_balanced_kmeans(X, K=K, seed=0, max_iters=1)
+        histogram_over_clusters(model, X, "fit")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n, K, d) float64 temporary alone would be 1.5 GB here
+    assert peak < 2 * 8 * n * (d + K)
+
+
 def test_too_few_points():
     with pytest.raises(TooFewPointsError):
         fit_balanced_kmeans(np.zeros((3, 2)), K=5, seed=0)
@@ -113,14 +189,35 @@ def test_assign_centroid_maps_to_itself():
 
 
 def test_assign_tie_breaks_to_lowest_id():
-    from corpusfilter.clustering import ClusterModel
-
     centroids = np.array(
         [[0.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 7.0], [0.0, 3.0], [2.0, 0.0]]
     )
     model = ClusterModel(centroids=centroids, K=6, dim=2, capacity=1, seed=0)
     # equidistant from clusters 1 and 5 (identical centroids)
     assert assign(model, np.array([2.0, 1.0])) == 1
+
+
+def test_sq_distances_match_direct_form():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(_BLOCK_ROWS + 37, 7)) * 3 + 1
+    C = rng.normal(size=(5, 7))
+    direct = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+    scale = (X * X).sum(axis=1)[:, None] + (C * C).sum(axis=1)[None, :]
+    assert np.all(np.abs(_sq_distances(X, C) - direct) <= 1e-12 * scale)
+
+
+def test_near_tie_goes_to_lowest_id():
+    # x is equidistant from x + v and x - v; at this offset the expanded
+    # form's rounding alone prefers cluster 1
+    rng = np.random.default_rng(0)
+    x = 100.0 + rng.normal(size=8)
+    v = rng.normal(size=8)
+    C = np.stack([x + v, x - v])
+    direct = ((x - C) ** 2).sum(axis=1)
+    assert direct[0] <= direct[1]
+    assert np.argmin(_sq_distances(x[None, :], C)[0]) == 1
+    model = ClusterModel(centroids=C, K=2, dim=8, capacity=1, seed=0)
+    assert assign_batch(model, x[None, :])[0] == 0
 
 
 def test_assign_interior_points_stable():
@@ -167,11 +264,22 @@ def test_histogram_additivity():
     assert np.array_equal(h1.counts + h2.counts, h.counts)
 
 
+def test_histogram_of_row_iterable_equals_array():
+    X, _ = two_blobs(2 * _BLOCK_ROWS + 5, seed=12)
+    model = fit_balanced_kmeans(X[:200], K=5, seed=12)
+    from_rows = histogram_over_clusters(model, (row for row in X), "rows")
+    from_array = histogram_over_clusters(model, X, "array")
+    assert from_array.total == len(X)
+    assert np.array_equal(from_rows.counts, from_array.counts)
+
+
 def test_histogram_empty_dataset():
     X, _ = two_blobs(20, seed=11)
     model = fit_balanced_kmeans(X, K=2, seed=11)
     with pytest.raises(EmptyDatasetError):
         histogram_over_clusters(model, [], "empty")
+    with pytest.raises(EmptyDatasetError):
+        histogram_over_clusters(model, np.empty((0, 4)), "empty")
 
 
 # ------------------------------------------------- TV distance

@@ -43,6 +43,27 @@ def test_malformed_lines_reported_not_dropped_silently(tmp_path):
     del docs
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"id":"x2","text":"lone \\ud800 surrogate","lang":"en","source":"s"}',
+        '{"id":"x2","text":"text","lang":"en","source":"s","meta":{"k":"\\udfff"}}',
+    ],
+    ids=["text", "meta"],
+)
+def test_lone_surrogate_line_is_malformed(tmp_path, bad_line):
+    path = str(tmp_path / "a.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"id":"x1","text":"hello there","lang":"en","source":"s"}\n')
+        fh.write(bad_line + "\n")
+        fh.write('{"id":"x3","text":"pair \\ud83d\\ude00 is fine","lang":"en","source":"s"}\n')
+    stream = read_shard(path)
+    out = list(stream)
+    assert [d.id for d in out] == ["x1", "x3"]
+    assert out[1].text == "pair \U0001f600 is fine"
+    assert [m.line_no for m in stream.malformed] == [2]
+
+
 def test_empty_file(tmp_path):
     path = str(tmp_path / "empty.jsonl")
     open(path, "w").close()
