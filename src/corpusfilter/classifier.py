@@ -2,9 +2,9 @@
 
 Trained once on English-only labeled seed embeddings, then applied to
 score documents in any language the embedding provider covers. Training
-is full-batch gradient descent with backtracking line search by default
-(deterministic given the seed); minibatch SGD is available for seed sets
-that do not fit the full-batch path comfortably.
+takes an (n, dim) matrix and its 0/1 labels, normalises the rows and runs
+full-batch gradient descent with backtracking line search, deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DataError,
@@ -24,13 +23,6 @@ from .errors import (
 )
 
 VERSION = "0.1.0"
-
-
-@dataclass
-class LabeledExample:
-    x: np.ndarray
-    y: int
-    origin: str = ""
 
 
 @dataclass
@@ -61,9 +53,7 @@ class TrainConfig:
     max_epochs: int = 500
     learning_rate: float = 1.0
     tolerance: float = 1e-6
-    batch_size: int | None = None  # None = full batch
     seed: int = 0
-    normalize_inputs: bool = True
 
     def __post_init__(self) -> None:
         if self.l2_lambda < 0 or self.max_epochs <= 0 or self.learning_rate <= 0:
@@ -82,14 +72,16 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def stack_examples(data: list[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
-    if not data:
+def _check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Return X as an (n, dim) float64 matrix and y as its n labels in {0, 1}."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[:1] == (0,):
         raise EmptyDataError("no labeled examples")
-    dims = {len(ex.x) for ex in data}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"mixed example dimensions {sorted(dims)}")
-    X = np.stack([np.asarray(ex.x, dtype=np.float64) for ex in data])
-    y = np.array([ex.y for ex in data], dtype=np.float64)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise DimensionMismatchError(
+            f"expected an (n, dim) matrix and n labels, got {X.shape} and {y.shape}"
+        )
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise DataError("labels must be 0 or 1")
     return X, y
@@ -109,36 +101,29 @@ def _loss_grad(
 
 
 def loss_and_gradient(
-    clf: LinearClassifier, data: list[LabeledExample], l2_lambda: float
+    clf: LinearClassifier, X: np.ndarray, y: np.ndarray, l2_lambda: float
 ) -> tuple[float, np.ndarray, float]:
-    X, y = stack_examples(data)
+    X, y = _check_xy(X, y)
     if X.shape[1] != clf.dim:
         raise DimensionMismatchError(f"examples have dim {X.shape[1]}, classifier {clf.dim}")
     return _loss_grad(clf.w, clf.b, X, y, l2_lambda)
 
 
-def train_logistic(data: list[LabeledExample], config: TrainConfig) -> LinearClassifier:
-    X, y = stack_examples(data)
+def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> LinearClassifier:
+    X, y = _check_xy(X, y)
     if len(np.unique(y)) < 2:
         raise SingleClassDataError("training data contains a single class")
-    if config.normalize_inputs:
-        X = _normalize_rows(X)
+    X = _normalize_rows(X)
     dim = X.shape[1]
     rng = np.random.default_rng(config.seed)
     w = rng.normal(0.0, 0.01, size=dim)
-    b = 0.0
-
-    if config.batch_size is not None:
-        w, b = _train_minibatch(X, y, w, b, config, rng)
-    else:
-        w, b = _train_full_batch(X, y, w, b, config)
+    w, b = _train_full_batch(X, y, w, 0.0, config)
 
     loss, _, _ = _loss_grad(w, b, X, y, config.l2_lambda)
     return LinearClassifier(
         w=w,
         b=b,
         dim=dim,
-        normalize_inputs=config.normalize_inputs,
         seed=config.seed,
         l2_lambda=config.l2_lambda,
         train_loss=loss,
@@ -167,24 +152,6 @@ def _train_full_batch(X, y, w, b, config: TrainConfig):
     return w, b
 
 
-def _train_minibatch(X, y, w, b, config: TrainConfig, rng):
-    n = X.shape[0]
-    bs = config.batch_size
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(n)
-        # decaying step keeps late epochs from oscillating
-        step = config.learning_rate / (1.0 + 0.1 * epoch)
-        for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            _, grad_w, grad_b = _loss_grad(w, b, X[idx], y[idx], config.l2_lambda)
-            w = w - step * grad_w
-            b = b - step * grad_b
-        _, grad_w, grad_b = _loss_grad(w, b, X, y, config.l2_lambda)
-        if float(np.sqrt(grad_w @ grad_w + grad_b * grad_b)) < config.tolerance:
-            break
-    return w, b
-
-
 def _normalize_rows(X: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -209,8 +176,8 @@ def score_batch(clf: LinearClassifier, X: np.ndarray) -> np.ndarray:
     return sigmoid(X @ clf.w + clf.b)
 
 
-def evaluate(clf: LinearClassifier, data: list[LabeledExample]) -> dict:
-    X, y = stack_examples(data)
+def evaluate(clf: LinearClassifier, X: np.ndarray, y: np.ndarray) -> dict:
+    X, y = _check_xy(X, y)
     scores = score_batch(clf, X)
     accuracy = float(np.mean((scores > 0.5) == (y == 1.0)))
     result = {"accuracy": accuracy, "n": int(len(y)), "auc": None}
@@ -218,7 +185,8 @@ def evaluate(clf: LinearClassifier, data: list[LabeledExample]) -> dict:
     n_neg = int(len(y)) - n_pos
     if n_pos and n_neg:
         # Mann-Whitney rank statistic; ties share average rank
-        ranks = rankdata(scores)
+        _, inv, cnt = np.unique(scores, return_inverse=True, return_counts=True)
+        ranks = (np.cumsum(cnt) - (cnt - 1) / 2)[inv]
         auc = (float(np.sum(ranks[y == 1.0])) - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
         result["auc"] = auc
     return result

@@ -120,22 +120,20 @@ def _load_seed_documents(train_cfg: dict) -> tuple[list[str], list[int], str]:
 
 def cmd_train_filter(cfg: dict) -> int:
     train_cfg = cfg.get("train") or {}
+    if "batch_size" in train_cfg:
+        raise ConfigError("train.batch_size is not supported: the classifier trains full-batch")
     texts, labels, provenance = _load_seed_documents(train_cfg)
     pcfg = provider_config(cfg)
     provider = get_provider(pcfg)
     X = embed_texts(provider, texts)
-    data = [
-        clf_mod.LabeledExample(x=x, y=y, origin=provenance) for x, y in zip(X, labels)
-    ]
     tconf = clf_mod.TrainConfig(
         l2_lambda=float(train_cfg.get("l2_lambda", 1e-4)),
         max_epochs=int(train_cfg.get("max_epochs", 500)),
         learning_rate=float(train_cfg.get("learning_rate", 1.0)),
         tolerance=float(train_cfg.get("tolerance", 1e-6)),
-        batch_size=train_cfg.get("batch_size"),
         seed=int(cfg.get("seed", 0)),
     )
-    clf = clf_mod.train_logistic(data, tconf)
+    clf = clf_mod.train_logistic(X, labels, tconf)
     clf.trained_on = provenance
 
     out = _out_dir(cfg)
@@ -146,7 +144,7 @@ def cmd_train_filter(cfg: dict) -> int:
         "classifier": clf_path,
         "trained_on": provenance,
         "train_loss": clf.train_loss,
-        "eval": clf_mod.evaluate(clf, data),
+        "eval": clf_mod.evaluate(clf, X, labels),
     }
     _write_report(os.path.join(out, "train_report.json"), report)
     print(f"classifier -> {clf_path} (train accuracy {report['eval']['accuracy']:.4f})")
@@ -332,7 +330,6 @@ def cmd_plan(cfg: dict) -> int:
             for e in p_cfg["languages"]
         ],
         model_params=float(p_cfg["model_params"]),
-        params_basis=p_cfg.get("params_basis", "non_embedding"),
     )
     rows = planner.plan_mix(plan, p_cfg.get("budgets", []))
     total = planner.tokens_for_steps(plan.steps, plan.batch_size, plan.context_len)

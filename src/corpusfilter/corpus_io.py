@@ -42,7 +42,6 @@ class CorpusManifest:
     corpus_name: str
     lang: str
     shard_paths: list[str]
-    doc_count_estimate: int | None = None
 
     def __post_init__(self) -> None:
         if not self.shard_paths:
@@ -85,7 +84,11 @@ def _line_to_doc(line: str) -> Document:
             raise ValueError(f"missing field {name!r}")
         if not isinstance(rec[name], str):
             raise ValueError(f"field {name!r} is not a string")
-    meta = dict(rec.get("meta") or {})
+    meta = rec.get("meta")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
+        raise ValueError("field 'meta' is not an object")
     # a lone surrogate, which no UTF-8 encoder (the n-gram kernel's, a shard
     # writer's) accepts, can only come from a \u escape in the line
     if "\\" in line:
@@ -118,14 +121,16 @@ class ShardStream:
         self.malformed: list[MalformedRecord] = []
 
     def __iter__(self) -> Iterator[Document]:
-        with _open_text(self.path, "r") as fh:
+        # bytes in, one decode per line, so that invalid UTF-8 costs only its line
+        opener = gzip.open if self.path.endswith(".gz") else open
+        with opener(self.path, "rb") as fh:
             for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
                 try:
+                    line = raw.decode("utf-8").rstrip("\n")
+                    if not line.strip():
+                        continue
                     yield _line_to_doc(line)
-                except (ValueError, DataError, UnicodeDecodeError) as exc:
+                except (ValueError, DataError) as exc:
                     self.malformed.append(MalformedRecord(line_no, str(exc)))
 
 
@@ -147,13 +152,6 @@ def write_shard(path: str, docs: Iterable[Document]) -> int:
             fh.write("\n")
             count += 1
     return count
-
-
-def iter_corpus(manifest: CorpusManifest) -> Iterator[tuple[str, Document]]:
-    """Yield (shard_path, doc) over all shards in manifest order."""
-    for path in manifest.shard_paths:
-        for doc in read_shard(path):
-            yield path, doc
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,6 @@ def load_manifest(path: str) -> CorpusManifest:
         corpus_name=rec["corpus_name"],
         lang=rec["lang"],
         shard_paths=list(rec["shards"]),
-        doc_count_estimate=rec.get("doc_count_estimate"),
     )
 
 
@@ -231,8 +228,6 @@ def save_manifest(manifest: CorpusManifest, path: str) -> None:
         "lang": manifest.lang,
         "shards": manifest.shard_paths,
     }
-    if manifest.doc_count_estimate is not None:
-        rec["doc_count_estimate"] = manifest.doc_count_estimate
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(rec, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")

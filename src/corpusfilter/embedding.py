@@ -55,32 +55,6 @@ class EmbeddingProviderConfig:
         if self.batch_size <= 0 or self.truncate_chars <= 0:
             raise ConfigError("batch_size and truncate_chars must be positive")
 
-    def fingerprint(self) -> str:
-        parts = [self.kind, str(self.dim)]
-        if self.kind == "remote":
-            parts.append(self.endpoint or "")
-        else:
-            parts += [f"{self.ngram_range[0]}-{self.ngram_range[1]}", str(self.seed)]
-        parts.append(str(self.truncate_chars))
-        return "|".join(parts)
-
-
-def validate_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionMismatchError(f"expected 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ZeroVectorError("vector has NaN or Inf components")
-    return v
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    v = validate_vector(v)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot normalize the zero vector")
-    return v / norm
-
 
 def _check_hashed_dim(dim: int) -> None:
     if dim < 8:
@@ -168,8 +142,13 @@ class RemoteProvider:
             if resp.status_code != 200:
                 last_err = RemoteUnavailableError(f"{url} returned {resp.status_code}")
                 continue
-            body = resp.json()
-            vectors = np.asarray(body["vectors"], dtype=np.float64)
+            try:
+                body = resp.json()
+                vectors = np.asarray(body["vectors"], dtype=np.float64)
+            except (ValueError, TypeError, KeyError) as exc:
+                raise RemoteUnavailableError(
+                    f"{url} returned a body without a numeric 'vectors' array: {exc!r}"
+                ) from exc
             if body.get("dim") != cfg.dim or vectors.shape != (len(clipped), cfg.dim):
                 raise DimensionMismatchError(
                     f"service returned dim {body.get('dim')} / shape {vectors.shape}, "

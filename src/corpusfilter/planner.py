@@ -18,9 +18,6 @@ CHINCHILLA_TOKENS_PER_PARAM = 20.0
 HARD_EPOCH_LIMIT = 10.0
 ADVISORY_EPOCH_LIMIT = 4.0
 
-# parameter-count presets (non-embedding basis)
-MODEL_PRESETS = {"350m": 350e6, "1.3b": 1.3e9, "2.7b": 2.7e9}
-
 
 @dataclass
 class LanguageWeight:
@@ -35,15 +32,12 @@ class TrainingPlan:
     context_len: int
     languages: list[LanguageWeight]
     model_params: float
-    params_basis: str = "non_embedding"  # or "total"
 
     def __post_init__(self) -> None:
         if min(self.steps, self.batch_size, self.context_len) <= 0:
             raise ConfigError("steps, batch_size, context_len must be positive")
         if self.model_params <= 0:
             raise ConfigError("model_params must be positive")
-        if self.params_basis not in ("non_embedding", "total"):
-            raise ConfigError(f"unknown params_basis {self.params_basis!r}")
         if not self.languages or any(lw.weight <= 0 for lw in self.languages):
             raise ConfigError("language weights must be positive")
         if abs(sum(lw.weight for lw in self.languages) - 1.0) > 1e-9:

@@ -9,7 +9,6 @@ the corpus.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -249,19 +248,3 @@ def compare_sampling_strategies(
         "rel_diff": rel_diff,
         "flagged": rel_diff > flag_rel_diff,
     }
-
-
-def score_cache_path(
-    cache_dir: str,
-    manifest: CorpusManifest,
-    provider_config: EmbeddingProviderConfig,
-    clf: clf_mod.LinearClassifier,
-) -> str:
-    """Cache key covers corpus, provider settings, and classifier weights,
-    so re-filtering at a new percentile reuses existing scores."""
-    h = hashlib.sha256()
-    h.update(manifest.corpus_name.encode())
-    h.update(provider_config.fingerprint().encode())
-    h.update(np.asarray(clf.w).tobytes())
-    h.update(repr((clf.b, clf.normalize_inputs)).encode())
-    return os.path.join(cache_dir, f"scores_{manifest.corpus_name}_{h.hexdigest()[:16]}.jsonl")

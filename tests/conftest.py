@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from corpusfilter.classifier import LabeledExample, TrainConfig, train_logistic
+from corpusfilter.classifier import TrainConfig, train_logistic
 from corpusfilter.corpus_io import CorpusManifest, Document, write_shard
 from corpusfilter.embedding import EmbeddingProviderConfig, get_provider
 
@@ -73,11 +73,8 @@ def train_seed_classifier(dim=64, n_per_class=150, seed=0):
     pos = [make_text(rng, 0.95) for _ in range(n_per_class)]
     neg = [make_text(rng, 0.05) for _ in range(n_per_class)]
     X = provider.embed_batch(pos + neg)
-    data = [
-        LabeledExample(x=x, y=1 if i < n_per_class else 0)
-        for i, x in enumerate(X)
-    ]
-    clf = train_logistic(data, TrainConfig(seed=seed, max_epochs=300))
+    y = np.repeat([1.0, 0.0], n_per_class)
+    clf = train_logistic(X, y, TrainConfig(seed=seed, max_epochs=300))
     return clf, pos, neg
 
 
@@ -87,13 +84,13 @@ def seed_classifier():
 
 
 def gaussian_examples(n=200, separation=4.0, sigma=1.0, dim=2, seed=0):
-    """Two Gaussian blobs on the first axis, labels 0/1."""
+    """Two Gaussian blobs on the first axis: (X, y) with labels 0/1."""
     rng = np.random.default_rng(seed)
     half = n // 2
     X0 = rng.normal(0.0, sigma, size=(half, dim))
     X1 = rng.normal(0.0, sigma, size=(n - half, dim))
     X0[:, 0] -= separation / 2
     X1[:, 0] += separation / 2
-    data = [LabeledExample(x=x, y=0) for x in X0]
-    data += [LabeledExample(x=x, y=1) for x in X1]
-    return data
+    X = np.vstack([X0, X1])
+    y = np.repeat([0.0, 1.0], [half, n - half])
+    return X, y

@@ -14,7 +14,6 @@ import pytest
 
 from corpusfilter import classifier as clf_mod
 from corpusfilter.classifier import (
-    LabeledExample,
     LinearClassifier,
     TrainConfig,
     binarize_fwe_annotations,
@@ -40,7 +39,7 @@ from corpusfilter.thresholds import (
 )
 
 from conftest import hashed_config, make_corpus, make_docs
-from test_classifier import finite_difference_grad
+from test_classifier import finite_difference_grad, random_xy
 from test_cli import build_workspace, run
 from test_embedding import MockEmbedHandler, mock_server, remote_config  # noqa: F401
 from test_planner import bilingual_plan
@@ -58,15 +57,12 @@ def test_criterion_01_gradient_oracle():
         dim = int(rng.integers(2, 10))
         n = int(rng.integers(2, 40))
         lam = float(rng.uniform(0, 0.5))
-        data = [
-            LabeledExample(x=rng.normal(size=dim), y=int(rng.integers(2)))
-            for _ in range(n)
-        ]
+        X, y = random_xy(rng, n, dim)
         w = rng.normal(size=dim)
         b = float(rng.normal())
         clf = LinearClassifier(w=w, b=b, dim=dim, normalize_inputs=False)
-        _, gw, gb = loss_and_gradient(clf, data, lam)
-        fw, fb = finite_difference_grad(w, b, data, lam)
+        _, gw, gb = loss_and_gradient(clf, X, y, lam)
+        fw, fb = finite_difference_grad(w, b, X, y, lam)
         scale = max(np.max(np.abs(fw)), abs(fb), 1e-8)
         worst = max(worst, np.max(np.abs(gw - fw)) / scale, abs(gb - fb) / scale)
     elapsed = time.perf_counter() - start
@@ -80,12 +76,12 @@ def test_criterion_02_separable_seed_training():
     from conftest import gaussian_examples
 
     start = time.perf_counter()
-    data = gaussian_examples(n=200, separation=4.0, seed=0)
-    clf = train_logistic(data, TrainConfig(seed=0, l2_lambda=1e-3))
-    acc = evaluate(clf, data)["accuracy"]
+    X, y = gaussian_examples(n=200, separation=4.0, seed=0)
+    clf = train_logistic(X, y, TrainConfig(seed=0, l2_lambda=1e-3))
+    acc = evaluate(clf, X, y)["accuracy"]
     assert acc >= 0.95
     losses = [
-        train_logistic(data, TrainConfig(seed=s, l2_lambda=1e-3)).train_loss
+        train_logistic(X, y, TrainConfig(seed=s, l2_lambda=1e-3)).train_loss
         for s in range(5)
     ]
     spread = max(losses) - min(losses)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from corpusfilter.classifier import (
-    LabeledExample,
     LinearClassifier,
     TrainConfig,
     binarize_fwe_annotations,
@@ -17,7 +16,9 @@ from corpusfilter.classifier import (
     train_logistic,
 )
 from corpusfilter.errors import (
+    DataError,
     DimensionMismatchError,
+    EmptyDataError,
     ScoreOutOfRangeError,
     SingleClassDataError,
 )
@@ -29,12 +30,19 @@ def zero_clf(dim):
     return LinearClassifier(w=np.zeros(dim), b=0.0, dim=dim, normalize_inputs=False)
 
 
-def finite_difference_grad(w, b, data, lam, h=1e-5):
+def random_xy(rng, n, dim):
+    """n normal rows with coin-flip labels, drawn row by row."""
+    rows = [(rng.normal(size=dim), rng.integers(2)) for _ in range(n)]
+    X, y = zip(*rows)
+    return np.array(X), np.array(y, dtype=np.float64)
+
+
+def finite_difference_grad(w, b, X, y, lam, h=1e-5):
     """Central finite differences on the loss; independent oracle."""
 
     def loss_at(wv, bv):
         clf = LinearClassifier(w=wv, b=bv, dim=len(wv), normalize_inputs=False)
-        return loss_and_gradient(clf, data, lam)[0]
+        return loss_and_gradient(clf, X, y, lam)[0]
 
     gw = np.zeros_like(w)
     for i in range(len(w)):
@@ -46,14 +54,13 @@ def finite_difference_grad(w, b, data, lam, h=1e-5):
 
 
 def test_loss_at_origin_is_ln2():
-    data = gaussian_examples(n=50, seed=1)
-    loss, _, _ = loss_and_gradient(zero_clf(2), data, 0.0)
+    X, y = gaussian_examples(n=50, seed=1)
+    loss, _, _ = loss_and_gradient(zero_clf(2), X, y, 0.0)
     assert abs(loss - math.log(2)) < 1e-12
 
 
 def test_hand_gradient_single_example():
-    data = [LabeledExample(x=np.array([1.0, 0.0]), y=1)]
-    loss, gw, gb = loss_and_gradient(zero_clf(2), data, 0.0)
+    loss, gw, gb = loss_and_gradient(zero_clf(2), np.array([[1.0, 0.0]]), np.array([1.0]), 0.0)
     assert np.allclose(gw, [-0.5, 0.0])
     assert abs(gb + 0.5) < 1e-12
     assert abs(loss - math.log(2)) < 1e-12
@@ -65,52 +72,66 @@ def test_gradient_matches_finite_differences(trial):
     dim = int(rng.integers(2, 8))
     n = int(rng.integers(3, 30))
     lam = float(rng.choice([0.0, 1e-4, 1e-2, 0.5]))
-    data = [
-        LabeledExample(x=rng.normal(size=dim), y=int(rng.integers(2))) for _ in range(n)
-    ]
+    X, y = random_xy(rng, n, dim)
     w = rng.normal(size=dim)
     b = float(rng.normal())
     clf = LinearClassifier(w=w, b=b, dim=dim, normalize_inputs=False)
-    _, gw, gb = loss_and_gradient(clf, data, lam)
-    fw, fb = finite_difference_grad(w, b, data, lam)
+    _, gw, gb = loss_and_gradient(clf, X, y, lam)
+    fw, fb = finite_difference_grad(w, b, X, y, lam)
     scale = max(np.max(np.abs(fw)), abs(fb), 1e-8)
     assert np.max(np.abs(gw - fw)) / scale < 1e-4
     assert abs(gb - fb) / scale < 1e-4
 
 
 def test_train_separable_blobs():
-    data = gaussian_examples(n=200, separation=4.0, seed=0)
-    clf = train_logistic(data, TrainConfig(seed=0))
-    assert evaluate(clf, data)["accuracy"] >= 0.95
+    X, y = gaussian_examples(n=200, separation=4.0, seed=0)
+    clf = train_logistic(X, y, TrainConfig(seed=0))
+    assert evaluate(clf, X, y)["accuracy"] >= 0.95
 
 
 def test_train_single_class_error():
-    data = [LabeledExample(x=np.array([1.0, 2.0]), y=1) for _ in range(10)]
     with pytest.raises(SingleClassDataError):
-        train_logistic(data, TrainConfig())
+        train_logistic(np.tile([1.0, 2.0], (10, 1)), np.ones(10), TrainConfig())
+
+
+@pytest.mark.parametrize(
+    "X, y, error",
+    [
+        (np.empty((0, 2)), np.empty(0), EmptyDataError),
+        ([], [], EmptyDataError),
+        (np.ones((3, 2)), np.array([0.0, 1.0]), DimensionMismatchError),
+        (np.ones((2, 2)), np.array([0.0, 1.0, 1.0]), DimensionMismatchError),
+        (np.ones(4), np.array([0.0, 1.0, 0.0, 1.0]), DimensionMismatchError),
+        (np.ones((2, 2)), np.array([0.0, 2.0]), DataError),
+    ],
+    ids=["no-rows", "empty-list", "fewer-labels", "more-labels", "1-d", "label-2"],
+)
+@pytest.mark.parametrize("entry", ["train", "evaluate", "loss"])
+def test_array_inputs_rejected(X, y, error, entry):
+    with pytest.raises(error):
+        if entry == "train":
+            train_logistic(X, y, TrainConfig())
+        elif entry == "evaluate":
+            evaluate(zero_clf(2), X, y)
+        else:
+            loss_and_gradient(zero_clf(2), X, y, 0.0)
 
 
 def test_train_deterministic():
-    data = gaussian_examples(n=100, seed=2)
-    a = train_logistic(data, TrainConfig(seed=3))
-    b = train_logistic(data, TrainConfig(seed=3))
+    X, y = gaussian_examples(n=100, seed=2)
+    a = train_logistic(X, y, TrainConfig(seed=3))
+    b = train_logistic(X, y, TrainConfig(seed=3))
     assert np.array_equal(a.w, b.w) and a.b == b.b
 
 
 def test_seeds_converge_to_same_loss():
     # lambda > 0 makes the optimum unique, so seeds only move the start
-    data = gaussian_examples(n=200, seed=4)
+    X, y = gaussian_examples(n=200, seed=4)
     losses = [
-        train_logistic(data, TrainConfig(seed=s, l2_lambda=1e-3)).train_loss
+        train_logistic(X, y, TrainConfig(seed=s, l2_lambda=1e-3)).train_loss
         for s in range(5)
     ]
     assert max(losses) - min(losses) < 1e-3
-
-
-def test_minibatch_mode_trains():
-    data = gaussian_examples(n=200, separation=4.0, seed=5)
-    clf = train_logistic(data, TrainConfig(seed=0, batch_size=32, learning_rate=0.5))
-    assert evaluate(clf, data)["accuracy"] >= 0.95
 
 
 def test_score_closed_forms():
@@ -147,15 +168,14 @@ def test_rescaling_preserves_ranking():
 
 
 def test_evaluate_perfect_separation():
-    data = [LabeledExample(x=np.array([v]), y=int(v > 0)) for v in (-3.0, -2.0, 2.0, 3.0)]
+    X = np.array([[-3.0], [-2.0], [2.0], [3.0]])
     clf = LinearClassifier(w=np.array([5.0]), b=0.0, dim=1, normalize_inputs=False)
-    result = evaluate(clf, data)
+    result = evaluate(clf, X, np.array([0.0, 0.0, 1.0, 1.0]))
     assert result["auc"] == 1.0 and result["accuracy"] == 1.0
 
 
 def test_evaluate_all_ties_auc_half():
-    data = [LabeledExample(x=np.zeros(2), y=i % 2) for i in range(10)]
-    result = evaluate(zero_clf(2), data)
+    result = evaluate(zero_clf(2), np.zeros((10, 2)), np.arange(10) % 2)
     assert result["auc"] == 0.5
 
 
@@ -164,17 +184,28 @@ def test_evaluate_enumerated_case():
     xs = [math.log(s / (1 - s)) for s in (0.9, 0.8, 0.7, 0.1)]
     ys = [1, 0, 1, 0]
     clf = LinearClassifier(w=np.array([1.0]), b=0.0, dim=1, normalize_inputs=False)
-    data = [LabeledExample(x=np.array([x]), y=y) for x, y in zip(xs, ys)]
-    result = evaluate(clf, data)
+    result = evaluate(clf, np.array(xs)[:, None], np.array(ys))
     assert abs(result["accuracy"] - 0.75) < 1e-12
     assert abs(result["auc"] - 0.75) < 1e-12
 
 
 def test_evaluate_single_class_reports_no_auc():
-    data = [LabeledExample(x=np.array([float(i)]), y=1) for i in range(4)]
     clf = LinearClassifier(w=np.array([1.0]), b=0.0, dim=1, normalize_inputs=False)
-    result = evaluate(clf, data)
+    result = evaluate(clf, np.arange(4.0)[:, None], np.ones(4))
     assert result["auc"] is None and result["n"] == 4
+
+
+def test_evaluate_auc_with_ties_matches_pair_count():
+    # AUC is P(pos scores above neg) with ties counting half; few distinct
+    # inputs force many tied scores
+    rng = np.random.default_rng(7)
+    X = rng.integers(-3, 4, size=(300, 1)).astype(np.float64)
+    y = (rng.random(300) < 0.4).astype(np.float64)
+    clf = LinearClassifier(w=np.array([1.0]), b=0.0, dim=1, normalize_inputs=False)
+    s = score_batch(clf, X)
+    pos, neg = s[y == 1.0], s[y == 0.0]
+    pairs = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
+    assert abs(evaluate(clf, X, y)["auc"] - pairs.mean()) < 1e-12
 
 
 def test_binarize_fwe_annotations():
@@ -191,8 +222,8 @@ def test_binarize_rejects_out_of_range():
 
 
 def test_classifier_file_roundtrip(tmp_path):
-    data = gaussian_examples(n=60, seed=6)
-    clf = train_logistic(data, TrainConfig(seed=1))
+    X, y = gaussian_examples(n=60, seed=6)
+    clf = train_logistic(X, y, TrainConfig(seed=1))
     clf.trained_on = "synthetic blobs"
     path = str(tmp_path / "clf.json")
     save_classifier(clf, path)

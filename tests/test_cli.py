@@ -1,12 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 
+import pytest
 import yaml
+
+import corpusfilter
 
 from corpusfilter.cli import main
 from corpusfilter.corpus_io import read_shard, save_manifest, write_shard
 
 from conftest import make_corpus, make_docs
+from test_embedding import MockEmbedHandler, mock_server  # noqa: F401
 
 
 def build_workspace(tmp_path, n_shards=2, docs_per_shard=50, dim=64):
@@ -117,10 +123,11 @@ def test_filter_missing_scores_fails_with_doc_named(tmp_path, capsys):
     assert missing_id in capsys.readouterr().err
 
 
-def test_score_skips_a_lone_surrogate_line(tmp_path):
+def score_and_filter_with_bad_line(tmp_path, bad_line: bytes):
+    """Append bad_line to the first shard, then train, score and filter."""
     cfg, cfg_path, manifest = build_workspace(tmp_path)
-    with open(manifest.shard_paths[0], "a", encoding="utf-8") as fh:
-        fh.write('{"id":"bad","text":"lone \\ud800","lang":"en","source":"s"}\n')
+    with open(manifest.shard_paths[0], "ab") as fh:
+        fh.write(bad_line + b"\n")
     assert run("train-filter", cfg_path) == 0
     assert run("score", cfg_path) == 0
     ids = [json.loads(line)["doc_id"] for line in open(cfg["scores"])]
@@ -131,6 +138,45 @@ def test_score_skips_a_lone_surrogate_line(tmp_path):
     assert run("filter", cfg_path) == 0
     stats = json.load(open(os.path.join(cfg["output_dir"], "filter_stats.json")))
     assert stats["docs_in"] == 100 and stats["docs_malformed"] == 1
+
+
+def test_score_skips_a_lone_surrogate_line(tmp_path):
+    line = rb'{"id":"bad","text":"lone \ud800","lang":"en","source":"s"}'
+    score_and_filter_with_bad_line(tmp_path, line)
+
+
+def test_score_and_filter_skip_an_invalid_utf8_line(tmp_path):
+    line = b'{"id":"bad","text":"byte \xff","lang":"en","source":"s"}'
+    score_and_filter_with_bad_line(tmp_path, line)
+
+
+def test_train_batch_size_is_rejected(tmp_path, capsys):
+    cfg, cfg_path, _ = build_workspace(tmp_path)
+    cfg["train"]["batch_size"] = 32
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    assert run("train-filter", cfg_path) == 2
+    assert "train.batch_size" in capsys.readouterr().err
+    assert not os.path.exists(cfg["classifier"])
+
+
+@pytest.mark.parametrize("mode", ["not_json", "no_vectors"])
+def test_bad_remote_body_exits_4(tmp_path, mock_server, mode, capsys):
+    cfg, cfg_path, _ = build_workspace(tmp_path)
+    cfg["embedding"] = {"kind": "remote", "dim": 384, "endpoint": mock_server}
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    MockEmbedHandler.mode = mode
+    assert run("train-filter", cfg_path) == 4
+    assert f"{mock_server}/embed" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy.stats alone took over a second of every command's start-up
+    src = os.path.dirname(os.path.dirname(corpusfilter.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import corpusfilter.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_score_and_reports_are_reproducible(tmp_path):

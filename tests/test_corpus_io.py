@@ -43,25 +43,45 @@ def test_malformed_lines_reported_not_dropped_silently(tmp_path):
     del docs
 
 
-@pytest.mark.parametrize(
-    "bad_line",
-    [
-        '{"id":"x2","text":"lone \\ud800 surrogate","lang":"en","source":"s"}',
-        '{"id":"x2","text":"text","lang":"en","source":"s","meta":{"k":"\\udfff"}}',
-    ],
-    ids=["text", "meta"],
-)
-def test_lone_surrogate_line_is_malformed(tmp_path, bad_line):
+def read_around(tmp_path, bad_line: bytes):
+    """Read a shard holding bad_line between two valid documents."""
     path = str(tmp_path / "a.jsonl")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"id":"x1","text":"hello there","lang":"en","source":"s"}\n')
-        fh.write(bad_line + "\n")
-        fh.write('{"id":"x3","text":"pair \\ud83d\\ude00 is fine","lang":"en","source":"s"}\n')
+    with open(path, "wb") as fh:
+        fh.write(b'{"id":"x1","text":"hello there","lang":"en","source":"s"}\n')
+        fh.write(bad_line + b"\n")
+        fh.write(rb'{"id":"x3","text":"pair \ud83d\ude00 is fine","lang":"en","source":"s"}')
+        fh.write(b"\n")
     stream = read_shard(path)
     out = list(stream)
     assert [d.id for d in out] == ["x1", "x3"]
     assert out[1].text == "pair \U0001f600 is fine"
     assert [m.line_no for m in stream.malformed] == [2]
+    return stream.malformed[0].reason
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        rb'{"id":"x2","text":"lone \ud800 surrogate","lang":"en","source":"s"}',
+        rb'{"id":"x2","text":"text","lang":"en","source":"s","meta":{"k":"\udfff"}}',
+    ],
+    ids=["text", "meta"],
+)
+def test_lone_surrogate_line_is_malformed(tmp_path, bad_line):
+    read_around(tmp_path, bad_line)
+
+
+def test_invalid_utf8_line_is_malformed(tmp_path):
+    reason = read_around(tmp_path, b'{"id":"x2","text":"byte \xff","lang":"en","source":"s"}')
+    assert "utf-8" in reason
+
+
+@pytest.mark.parametrize(
+    "meta", [b"5", b'[["k","v"]]', b'"k=v"'], ids=["number", "pairs", "string"]
+)
+def test_meta_that_is_not_an_object_is_malformed(tmp_path, meta):
+    line = b'{"id":"x2","text":"text","lang":"en","source":"s","meta":' + meta + b"}"
+    assert "meta" in read_around(tmp_path, line)
 
 
 def test_empty_file(tmp_path):

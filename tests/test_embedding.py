@@ -11,7 +11,6 @@ from corpusfilter.embedding import (
     embed_batch,
     embed_texts,
     hashed_ngram_embed,
-    l2_normalize,
 )
 from corpusfilter.errors import (
     ConfigError,
@@ -22,6 +21,7 @@ from corpusfilter.errors import (
 )
 
 from conftest import hashed_config, make_text
+from fnv_spec import spec_counts
 import random
 
 
@@ -29,18 +29,25 @@ import random
 
 
 def test_l2_normalize_345_triangle():
-    out = l2_normalize(np.array([3.0, 4.0]))
-    assert np.allclose(out, [0.6, 0.8])
+    # as unigrams at dim 8, "a" and "b" hash to two buckets: counts 3 and 4
+    out = hashed_ngram_embed("aaabbbb", dim=8, ngram_range=(1, 1))
+    assert np.allclose(sorted(np.abs(out[out != 0.0])), [0.6, 0.8])
 
 
 def test_l2_normalize_idempotent():
-    v = l2_normalize(np.array([1.0, 2.0, 2.0]))
-    assert np.allclose(l2_normalize(v), v)
+    X = embed_batch(hashed_config(dim=48), ["alpha beta", "gamma", "delta epsilon zeta"])
+    assert np.allclose(X / np.linalg.norm(X, axis=1, keepdims=True), X)
 
 
 def test_l2_normalize_zero_vector():
+    # found by search with the spec: as unigrams at dim 8 and seed 0, "!" and
+    # "¡" hash to one bucket with opposite signs
+    assert not spec_counts("!¡", 8, 1, 1, 0).any()
     with pytest.raises(ZeroVectorError):
-        l2_normalize(np.zeros(3))
+        hashed_ngram_embed("!¡", dim=8, ngram_range=(1, 1))
+    cfg = EmbeddingProviderConfig(kind="hashed_ngram", dim=8, ngram_range=(1, 1))
+    with pytest.raises(ZeroVectorError):
+        embed_batch(cfg, ["fine text", "!¡"])
 
 
 def test_hashed_unit_norm_small_case():
@@ -120,6 +127,7 @@ class MockEmbedHandler(BaseHTTPRequestHandler):
     dim = 384
     fail_first = 0
     calls = []
+    mode = "vectors"  # or "not_json", "no_vectors": a bad 200 response
 
     def do_POST(self):
         cls = type(self)
@@ -135,6 +143,10 @@ class MockEmbedHandler(BaseHTTPRequestHandler):
             for i in range(len(body["texts"]))
         ]
         payload = json.dumps({"vectors": vectors, "dim": cls.dim}).encode()
+        if cls.mode == "not_json":
+            payload = b"<html>gateway says hello</html>"
+        elif cls.mode == "no_vectors":
+            payload = json.dumps({"embeddings": vectors, "dim": cls.dim}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -150,6 +162,7 @@ def mock_server():
     MockEmbedHandler.dim = 384
     MockEmbedHandler.fail_first = 0
     MockEmbedHandler.calls = []
+    MockEmbedHandler.mode = "vectors"
     server = HTTPServer(("127.0.0.1", 0), MockEmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -189,6 +202,15 @@ def test_remote_gives_up_after_retries(mock_server):
     provider = RemoteProvider(remote_config(mock_server))
     with pytest.raises(RemoteUnavailableError):
         provider.embed_batch(["never works"])
+
+
+@pytest.mark.parametrize("mode", ["not_json", "no_vectors"])
+def test_remote_bad_body_is_unavailable(mock_server, mode):
+    MockEmbedHandler.mode = mode
+    provider = RemoteProvider(remote_config(mock_server))
+    with pytest.raises(RemoteUnavailableError, match=f"{mock_server}/embed"):
+        provider.embed_batch(["a text"])
+    assert len(MockEmbedHandler.calls) == 1
 
 
 def test_remote_requires_endpoint():

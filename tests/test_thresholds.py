@@ -19,7 +19,6 @@ from corpusfilter.thresholds import (
     estimate_threshold,
     estimate_thresholds,
     load_scores,
-    score_cache_path,
     score_corpus,
 )
 
@@ -251,19 +250,6 @@ def test_estimate_thresholds_embed_the_sample_once(tmp_path, seed_classifier, mo
     batch = estimate_thresholds(manifest, hashed_config(), clf, [30, 60, 90])
     assert [vars(e) for e in batch] == [vars(e) for e in singles]
     assert len(calls) == 1
-
-
-def test_score_cache_path_depends_on_classifier(tmp_path, seed_classifier):
-    clf, _, _ = seed_classifier
-    manifest = make_corpus(tmp_path, n_shards=1, docs_per_shard=3)
-    cfg = hashed_config()
-    a = score_cache_path("cache", manifest, cfg, clf)
-    from corpusfilter.classifier import LinearClassifier
-
-    other = LinearClassifier(w=np.ones(64), b=0.0, dim=64)
-    b = score_cache_path("cache", manifest, cfg, other)
-    assert a != b
-    assert a == score_cache_path("cache", manifest, cfg, clf)
 
 
 # ------------------------------------------------- retention calibration
