@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Benchmark the n-gram hashing kernels on synthetic web-like documents:
-the scalar spec loop, the numpy batch kernel, and the compiled kernel when
-it is built. Prints Mchar/s for each and asserts they agree bit for bit.
+"""Benchmark the n-gram hashing kernel on synthetic web-like documents:
+the scalar spec loop against the numpy batch kernel. Prints Mchar/s for
+each and asserts they agree bit for bit.
 
     PYTHONPATH=src python3 benchmarks/bench_hash_kernel.py [--docs 256] [--dim 384]
 """
@@ -15,15 +15,10 @@ import time
 
 import numpy as np
 
-from corpusfilter._hash_ref import hashed_ngram_matrix as numpy_matrix
+from corpusfilter.kernels import hashed_ngram_matrix as numpy_matrix
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from fnv_spec import spec_counts  # noqa: E402
-
-try:
-    from corpusfilter._hash_fast import hashed_ngram_counts as cy_counts
-except ImportError:
-    cy_counts = None
 
 
 def make_docs(n, seed=0, n_chars=1500):
@@ -71,11 +66,6 @@ def main():
     spec = bench("spec", per_document(spec_counts), spec_docs, args, 1)
     batch = bench("numpy", numpy_matrix, docs, args, args.repeats)
     assert np.array_equal(batch[: len(spec_docs)], spec)
-    if cy_counts is None:
-        print("cython : extension not built")
-    else:
-        compiled = bench("cython", per_document(cy_counts), docs, args, args.repeats)
-        assert np.array_equal(compiled, batch)
     print("kernels agree bit-exactly")
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus_io import load_json_object
 from .errors import (
     DataError,
     DimensionMismatchError,
@@ -224,8 +225,7 @@ def save_classifier(clf: LinearClassifier, path: str) -> None:
 
 
 def load_classifier(path: str) -> LinearClassifier:
-    with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
+    rec = load_json_object(path, "classifier", ("w", "b", "dim", "normalize_inputs"))
     return LinearClassifier(
         w=np.array(rec["w"], dtype=np.float64),
         b=float(rec["b"]),

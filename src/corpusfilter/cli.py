@@ -41,9 +41,12 @@ def load_config(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
+        raise ConfigError(f"config {path}: root must be a mapping")
     return cfg
 
 

@@ -212,9 +212,24 @@ def sample_documents(
     return docs
 
 
-def load_manifest(path: str) -> CorpusManifest:
+def load_json_object(path: str, kind: str, required: Iterable[str]) -> dict:
+    """The JSON object in `path`. A DataError names the file when it is not
+    JSON, not an object, or lacks one of the `required` keys."""
     with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
+        try:
+            rec = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise DataError(f"{kind} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise DataError(f"{kind} {path} is not a JSON object")
+    for key in required:
+        if key not in rec:
+            raise DataError(f"{kind} {path} has no {key!r} key")
+    return rec
+
+
+def load_manifest(path: str) -> CorpusManifest:
+    rec = load_json_object(path, "manifest", ("corpus_name", "lang", "shards"))
     return CorpusManifest(
         corpus_name=rec["corpus_name"],
         lang=rec["lang"],

@@ -79,7 +79,7 @@ def hashed_ngram_embed(
     """Signed feature hashing over character n-grams of the lowercased text.
 
     Pure function of (text, dim, ngram_range, seed); stable across
-    platforms and backends. Output is L2-normalized.
+    platforms. Output is L2-normalized.
     """
     _check_hashed_dim(dim)
     if not text:

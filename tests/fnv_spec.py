@@ -1,8 +1,8 @@
 """Scalar specification of the signed n-gram hashing kernel.
 
 The plain per-gram loop over the hash layout documented in
-src/corpusfilter/_hash_ref.py. The shipped kernels are tested against it
-bit for bit; it is far too slow to ship.
+src/corpusfilter/kernels.py. The shipped batch kernel is tested against
+it bit for bit; it is far too slow to ship.
 """
 
 import numpy as np

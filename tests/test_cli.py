@@ -281,6 +281,40 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["score", "-c", str(tmp_path / "nope.yaml")]) == 2
 
 
+MALFORMED_INPUTS = {
+    # name: (file the fault goes into, its new content, exit code, named key)
+    "manifest_without_shards": ("manifest", '{"corpus_name": "c", "lang": "fr"}', 3, "'shards'"),
+    "manifest_not_json": ("manifest", "corpus: c\n", 3, None),
+    "classifier_without_b": ("classifier", '{"w": [0.5], "dim": 1, "normalize_inputs": true}', 3, "'b'"),
+    "classifier_not_json": ("classifier", "w = [0.5]\n", 3, None),
+    "config_not_yaml": ("config", "seed: [0\nclassifier: {\n", 2, None),
+}
+
+
+@pytest.mark.parametrize(
+    "command,fault",
+    [("score", fault) for fault in MALFORMED_INPUTS]
+    # filter reads no classifier
+    + [("filter", fault) for fault in MALFORMED_INPUTS if not fault.startswith("classifier")],
+)
+def test_malformed_input_file_exits_with_its_code(tmp_path, capsys, command, fault):
+    target, content, code, key = MALFORMED_INPUTS[fault]
+    cfg, cfg_path, _ = build_workspace(tmp_path)
+    cfg["filter"] = {"tau": 0.5}
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    path = {"manifest": cfg["corpus"]["manifest"], "classifier": cfg["classifier"],
+            "config": cfg_path}[target]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(content)
+    assert run(command, cfg_path) == code
+    err = capsys.readouterr().err
+    assert path in err
+    if key:
+        assert key in err
+
+
 def test_filtered_output_matches_rescoring_oracle(tmp_path):
     """Brute-force check: re-embed and re-score every document."""
     from corpusfilter import classifier as clf_mod

@@ -3,18 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from corpusfilter import _hash_ref, kernels
+from corpusfilter import kernels
 from corpusfilter.embedding import EmbeddingProviderConfig, get_provider, hashed_ngram_embed
 
 from conftest import make_text
 from fnv_spec import spec_counts
-
-try:
-    from corpusfilter._hash_fast import hashed_ngram_counts as fast_counts
-
-    HAVE_EXT = True
-except ImportError:
-    HAVE_EXT = False
 
 MULTIBYTE_TEXTS = [
     "héllo wörld",
@@ -41,18 +34,13 @@ def multibyte_texts():
 
 
 def test_backend_is_reported():
-    assert kernels.HASH_BACKEND in ("cython", "python")
+    assert kernels.HASH_BACKEND == "python"
 
 
-# the shipped batch kernel, and the numpy one too where the compiled one ships
-MATRIX_KERNELS = list(dict.fromkeys([kernels.hashed_ngram_matrix, _hash_ref.hashed_ngram_matrix]))
-
-
-@pytest.mark.parametrize("kernel", MATRIX_KERNELS, ids=lambda k: k.__module__)
 @pytest.mark.parametrize("dim,lo,hi,seed", CASES)
-def test_batch_kernel_matches_spec(kernel, dim, lo, hi, seed):
+def test_batch_kernel_matches_spec(dim, lo, hi, seed):
     texts = multibyte_texts() + ascii_texts(10)
-    mat = kernel(texts, dim, lo, hi, seed)
+    mat = kernels.hashed_ngram_matrix(texts, dim, lo, hi, seed)
     assert mat.shape == (len(texts), dim) and mat.dtype == np.float64
     for text, row in zip(texts, mat):
         assert np.array_equal(row, spec_counts(text, dim, lo, hi, seed)), (text, dim, lo, hi, seed)
@@ -62,7 +50,7 @@ def test_numpy_kernel_matches_spec_on_random_mixed_width_text():
     rng = random.Random(3)
     alphabet = "ab cdé ßж中文\U0001f600İ"
     texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 30))) for _ in range(200)]
-    mat = _hash_ref.hashed_ngram_matrix(texts, 32, 1, 4, 11)
+    mat = kernels.hashed_ngram_matrix(texts, 32, 1, 4, 11)
     for text, row in zip(texts, mat):
         assert np.array_equal(row, spec_counts(text, 32, 1, 4, 11)), text
 
@@ -83,21 +71,6 @@ def test_provider_batch_equals_single_text_embedding():
         assert np.array_equal(row, hashed_ngram_embed(text[:12], 64, cfg.ngram_range, cfg.seed))
         counts = spec_counts(text[:12].lower(), 64, 2, 4, 0)
         assert np.array_equal(row, counts / np.linalg.norm(counts))
-
-
-@pytest.mark.skipif(not HAVE_EXT, reason="compiled kernel not built")
-def test_backends_bit_identical_ascii():
-    for text in ascii_texts():
-        assert np.array_equal(spec_counts(text, 64, 1, 4, 7), fast_counts(text, 64, 1, 4, 7))
-
-
-@pytest.mark.skipif(not HAVE_EXT, reason="compiled kernel not built")
-def test_backends_bit_identical_multibyte():
-    for text in multibyte_texts():
-        for dim, lo, hi, seed in CASES:
-            a = spec_counts(text, dim, lo, hi, seed)
-            b = fast_counts(text, dim, lo, hi, seed)
-            assert np.array_equal(a, b), (text, dim, lo, hi, seed)
 
 
 def test_counts_are_integers_with_signs():
