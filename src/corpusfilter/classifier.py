@@ -226,10 +226,18 @@ def save_classifier(clf: LinearClassifier, path: str) -> None:
 
 def load_classifier(path: str) -> LinearClassifier:
     rec = load_json_object(path, "classifier", ("w", "b", "dim", "normalize_inputs"))
+    w, b, dim = rec["w"], rec["b"], rec["dim"]
+    # type(), not isinstance: a bool is an int
+    if not isinstance(w, list) or any(type(v) not in (int, float) for v in w):
+        raise DataError(f"classifier {path}: 'w' must be a list of numbers")
+    if type(b) not in (int, float):
+        raise DataError(f"classifier {path}: 'b' must be a number")
+    if type(dim) is not int:
+        raise DataError(f"classifier {path}: 'dim' must be an integer")
     return LinearClassifier(
-        w=np.array(rec["w"], dtype=np.float64),
-        b=float(rec["b"]),
-        dim=int(rec["dim"]),
+        w=np.array(w, dtype=np.float64),
+        b=float(b),
+        dim=dim,
         normalize_inputs=bool(rec["normalize_inputs"]),
         trained_on=rec.get("trained_on", ""),
         seed=int(rec.get("seed", 0)),

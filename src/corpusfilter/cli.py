@@ -29,7 +29,7 @@ import yaml
 from . import __version__
 from . import classifier as clf_mod
 from . import clustering, planner, thresholds
-from .corpus_io import FirstFile, RandomFiles, load_manifest, read_shard
+from .corpus_io import FirstFile, RandomFiles, atomic_write, load_manifest, read_shard
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
 from .errors import ConfigError, ToolkitError
 
@@ -65,7 +65,7 @@ def _stamp(cfg: dict) -> dict:
 
 def _write_report(path: str, payload: dict) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -312,7 +312,7 @@ def cmd_clusters(cfg: dict) -> int:
 
     # plot-ready CSV: one row per cluster, one column per dataset
     csv_path = os.path.join(out, "cluster_histograms.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write("cluster," + ",".join(names) + "\n")
         for j in range(K):
             fh.write(
@@ -371,7 +371,7 @@ def cmd_report(cfg: dict) -> int:
 
     csv_path = os.path.join(_out_dir(cfg), "percentile_table.csv")
     names = list(columns)
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write("percentile," + ",".join(names) + "\n")
         for p in sorted((float(p) for p in percentiles), reverse=True):
             fh.write(

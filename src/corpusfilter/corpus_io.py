@@ -8,6 +8,7 @@ shards of one corpus; shard order is always lexicographic by path so that
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import os
@@ -54,11 +55,33 @@ class MalformedRecord(NamedTuple):
     reason: str
 
 
-def _open_text(path: str, mode: str) -> IO[str]:
-    # optional gzip pass-through, keyed on extension
-    if path.endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w") -> Iterator[IO]:
+    """Open a temporary file beside `path` for writing ("w" for UTF-8 text,
+    "wb" for bytes). A clean exit moves it onto `path` with `os.replace`; an
+    error removes it, so `path` never holds a partial write."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def shard_writer(path: str) -> Iterator[IO[bytes]]:
+    """Binary handle on a new shard at `path`, written atomically and
+    gzip-compressed when the name ends in `.gz`."""
+    with atomic_write(path, "wb") as fh:
+        if not path.endswith(".gz"):
+            yield fh
+            return
+        # the header names the shard, not the temporary file
+        with gzip.GzipFile(os.path.basename(path), "wb", fileobj=fh) as gz:
+            yield gz
 
 
 def doc_to_line(doc: Document) -> str:
@@ -75,8 +98,25 @@ def _require_utf8(name: str, value: str) -> None:
         raise ValueError(f"field {name!r} is not valid Unicode: {exc.reason}") from None
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def parse_json_line(line: str):
+    """`json.loads(line)` without its Python-level wrappers, which cost
+    about as much as the parse of a short line. A line that does not start
+    with a JSON value, or has more than whitespace after it, goes to
+    `json.loads` for the same error."""
+    try:
+        value, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    if end != len(line) and line[end:].strip(" \t\n\r"):
+        return json.loads(line)
+    return value
+
+
 def _line_to_doc(line: str) -> Document:
-    rec = json.loads(line)
+    rec = parse_json_line(line)
     if not isinstance(rec, dict):
         raise ValueError("record is not an object")
     for name in REQUIRED_FIELDS:
@@ -111,7 +151,9 @@ class ShardStream:
     """Iterator over the valid documents of one shard file.
 
     Malformed lines never interrupt the stream; after exhaustion they are
-    available (with line numbers and reasons) in `.malformed`.
+    available (with line numbers and reasons) in `.malformed`. While a
+    document is out, `.line` holds the raw bytes of its line, line ending
+    included, so that a filter can copy it verbatim.
     """
 
     def __init__(self, path: str):
@@ -119,6 +161,7 @@ class ShardStream:
             raise FileNotFoundError(path)
         self.path = path
         self.malformed: list[MalformedRecord] = []
+        self.line = b""
 
     def __iter__(self) -> Iterator[Document]:
         # bytes in, one decode per line, so that invalid UTF-8 costs only its line
@@ -129,9 +172,12 @@ class ShardStream:
                     line = raw.decode("utf-8").rstrip("\n")
                     if not line.strip():
                         continue
-                    yield _line_to_doc(line)
+                    doc = _line_to_doc(line)
                 except (ValueError, DataError) as exc:
                     self.malformed.append(MalformedRecord(line_no, str(exc)))
+                    continue
+                self.line = raw
+                yield doc
 
 
 def read_shard(path: str) -> ShardStream:
@@ -145,11 +191,10 @@ def write_shard(path: str, docs: Iterable[Document]) -> int:
     newlines inside text are escaped by the JSON encoding.
     """
     count = 0
-    with _open_text(path, "w") as fh:
+    with shard_writer(path) as fh:
         for doc in docs:
             doc.validate()
-            fh.write(doc_to_line(doc))
-            fh.write("\n")
+            fh.write(doc_to_line(doc).encode("utf-8") + b"\n")
             count += 1
     return count
 
@@ -230,10 +275,13 @@ def load_json_object(path: str, kind: str, required: Iterable[str]) -> dict:
 
 def load_manifest(path: str) -> CorpusManifest:
     rec = load_json_object(path, "manifest", ("corpus_name", "lang", "shards"))
+    shards = rec["shards"]
+    if not isinstance(shards, list) or not all(isinstance(p, str) for p in shards):
+        raise DataError(f"manifest {path}: 'shards' must be a list of path strings")
     return CorpusManifest(
         corpus_name=rec["corpus_name"],
         lang=rec["lang"],
-        shard_paths=list(rec["shards"]),
+        shard_paths=list(shards),
     )
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -22,9 +24,10 @@ from .corpus_io import (
     CorpusManifest,
     FirstFile,
     RandomFiles,
+    parse_json_line,
     read_shard,
     sample_documents,
-    write_shard,
+    shard_writer,
 )
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
 from .errors import (
@@ -118,51 +121,104 @@ def score_corpus(
 
 
 def _read_score_records(path: str):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+    """Yield (doc_id, score, shard) per record of a score file. A record
+    that is not a JSON object, whose doc_id is not a string, or whose score
+    is not a number in [0, 1] is a DataError naming its line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                rec = parse_json_line(raw.decode("utf-8"))
+            except ValueError:  # JSONDecodeError or UnicodeDecodeError
+                if not raw.strip():
+                    continue
+                rec = None
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{line_no}: score record is not a JSON object")
+            doc_id = rec.get("doc_id")
+            if not isinstance(doc_id, str):
+                raise DataError(f"{path}:{line_no}: doc_id {doc_id!r} is not a string")
+            score = rec.get("score")
+            # type(), not isinstance: a bool is an int
+            if type(score) not in (float, int) or not 0.0 <= score <= 1.0:
+                raise DataError(
+                    f"{path}:{line_no}: document {doc_id!r} has score {score!r}, "
+                    "not a number in [0, 1]"
+                )
+            yield doc_id, float(score), rec.get("shard")
 
 
 def load_scores(path: str) -> dict[str, float]:
     """Map each doc_id to its score; a doc_id seen twice is a DataError,
     since the filter could not tell the two documents apart."""
     scores: dict[str, float] = {}
-    for rec in _read_score_records(path):
-        doc_id = rec["doc_id"]
+    for doc_id, score, shard in _read_score_records(path):
         if doc_id in scores:
-            first = next(r.get("shard") for r in _read_score_records(path) if r["doc_id"] == doc_id)
+            first = next(r[2] for r in _read_score_records(path) if r[0] == doc_id)
             raise DataError(
                 f"{path}: document id {doc_id!r} is scored in shard {first!r} "
-                f"and again in shard {rec.get('shard')!r}"
+                f"and again in shard {shard!r}"
             )
-        scores[doc_id] = float(rec["score"])
+        scores[doc_id] = score
     return scores
+
+
+def _unjoinable(scores_path: str, doc_id: str, shard_path: str) -> NoReturn:
+    """The error for a document that the next score record does not match."""
+    scores = load_scores(scores_path)  # raises on an id scored twice
+    if doc_id not in scores:
+        raise MissingScoreError(f"no score for document {doc_id!r} in {shard_path}")
+    raise DataError(
+        f"{scores_path}: score records are not in manifest order "
+        f"at document {doc_id!r} in {shard_path}"
+    )
 
 
 def apply_filter(
     manifest: CorpusManifest, scores_path: str, tau: float, out_dir: str
 ) -> FilterStats:
-    """Write filtered copies of every shard, keeping docs with score > tau."""
-    scores = load_scores(scores_path)
+    """Write filtered copies of every shard, keeping docs with score > tau.
+
+    One ordered pass: the score records must come in manifest order, as
+    score_corpus writes them, so each document takes the next record, and
+    records left over after the last document are ignored. A kept
+    document's line is copied byte for byte, and each shard is written
+    atomically. Memory holds one shard line and 16 bytes per document of
+    the current shard (score and id hash); all that grows with the corpus
+    is a sorted array of 8-byte id hashes, kept to catch an id that repeats.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    records = _read_score_records(scores_path)
+    seen = np.empty(0, dtype=np.int64)  # sorted hashes of the ids so far
     hist = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     docs_in = 0
     docs_out = 0
     docs_malformed = 0
     for path in manifest.shard_paths:
-        kept = []
+        shard_scores = array("d")
+        shard_hashes = array("q")
         stream = read_shard(path)
-        for doc in stream:
-            docs_in += 1
-            if doc.id not in scores:
-                raise MissingScoreError(f"no score for document {doc.id!r} in {path}")
-            s = scores[doc.id]
-            hist[min(int(s * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
-            if s > tau:
-                kept.append(doc)
+        with shard_writer(os.path.join(out_dir, os.path.basename(path))) as out:
+            for doc in stream:
+                rec = next(records, None)
+                if rec is None or rec[0] != doc.id:
+                    _unjoinable(scores_path, doc.id, path)
+                shard_scores.append(rec[1])
+                shard_hashes.append(hash(doc.id))
+                if rec[1] > tau:
+                    line = stream.line
+                    out.write(line if line.endswith(b"\n") else line + b"\n")
+                    docs_out += 1
+            seen = np.concatenate([seen, np.asarray(shard_hashes)])
+            seen.sort(kind="stable")  # a merge of two runs
+            if np.any(seen[1:] == seen[:-1]):
+                # every document took a record with its id, so a repeated
+                # id is scored twice and this raises; else hashes collided
+                load_scores(scores_path)
+        # int(s * 100) per score: astype truncates toward zero like int()
+        bins = (np.asarray(shard_scores) * HISTOGRAM_BINS).astype(np.int64)
+        hist += np.bincount(np.minimum(bins, HISTOGRAM_BINS - 1), minlength=HISTOGRAM_BINS)
+        docs_in += len(shard_scores)
         docs_malformed += len(stream.malformed)
-        docs_out += write_shard(os.path.join(out_dir, os.path.basename(path)), kept)
     retention = docs_out / docs_in if docs_in else 0.0
     return FilterStats(
         docs_in=docs_in,

@@ -8,7 +8,7 @@ import yaml
 
 import corpusfilter
 
-from corpusfilter.cli import main
+from corpusfilter.cli import _write_report, main
 from corpusfilter.corpus_io import read_shard, save_manifest, write_shard
 
 from conftest import make_corpus, make_docs
@@ -287,6 +287,14 @@ MALFORMED_INPUTS = {
     "manifest_not_json": ("manifest", "corpus: c\n", 3, None),
     "classifier_without_b": ("classifier", '{"w": [0.5], "dim": 1, "normalize_inputs": true}', 3, "'b'"),
     "classifier_not_json": ("classifier", "w = [0.5]\n", 3, None),
+    "manifest_shards_not_a_list": (
+        "manifest", '{"corpus_name": "c", "lang": "fr", "shards": 5}', 3, "'shards'"),
+    "classifier_w_not_numbers": (
+        "classifier", '{"w": "abc", "b": 0.0, "dim": 1, "normalize_inputs": true}', 3, "'w'"),
+    "classifier_b_not_a_number": (
+        "classifier", '{"w": [0.5], "b": "0.1", "dim": 1, "normalize_inputs": true}', 3, "'b'"),
+    "classifier_dim_not_an_integer": (
+        "classifier", '{"w": [0.5], "b": 0.0, "dim": "1", "normalize_inputs": true}', 3, "'dim'"),
     "config_not_yaml": ("config", "seed: [0\nclassifier: {\n", 2, None),
 }
 
@@ -355,3 +363,51 @@ def test_filter_rejects_duplicate_ids_naming_both_shards(tmp_path, capsys):
     assert run("filter", cfg_path) == 3
     err = capsys.readouterr().err
     assert a in err and b in err
+
+
+BAD_SCORE_RECORDS = {
+    # name: the first score record, as a JSON value or (for bytes) a raw line
+    "negative": {"doc_id": "ID", "score": -0.3, "shard": "s"},
+    "above_one": {"doc_id": "ID", "score": 1.5, "shard": "s"},
+    "nan": {"doc_id": "ID", "score": float("nan"), "shard": "s"},
+    "null": {"doc_id": "ID", "score": None, "shard": "s"},
+    "bool": {"doc_id": "ID", "score": True, "shard": "s"},
+    "numeric_string": {"doc_id": "ID", "score": "0.5", "shard": "s"},
+    "no_score": {"doc_id": "ID", "shard": "s"},
+    "doc_id_not_a_string": {"doc_id": 5, "score": 0.5, "shard": "s"},
+    "not_an_object": ["ID", 0.5],
+    "not_json": b"{not json",
+}
+
+
+@pytest.mark.parametrize("command", ["filter", "report"])
+@pytest.mark.parametrize("fault", list(BAD_SCORE_RECORDS))
+def test_bad_score_record_is_a_data_error(tmp_path, capsys, command, fault):
+    cfg, cfg_path, manifest = build_workspace(tmp_path, docs_per_shard=5)
+    cfg["filter"] = {"tau": 0.5}
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    ids = [d.id for path in manifest.shard_paths for d in read_shard(path)]
+    bad = BAD_SCORE_RECORDS[fault]
+    if not isinstance(bad, bytes):
+        bad = json.dumps(bad).replace('"ID"', json.dumps(ids[0])).encode()
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    with open(cfg["scores"], "wb") as fh:
+        fh.write(bad + b"\n")
+        for doc_id in ids[1:]:
+            fh.write(json.dumps({"doc_id": doc_id, "score": 0.5, "shard": "s"}).encode() + b"\n")
+    assert run(command, cfg_path) == 3
+    err = capsys.readouterr().err
+    assert f"{cfg['scores']}:1:" in err
+    if isinstance(BAD_SCORE_RECORDS[fault], dict) and BAD_SCORE_RECORDS[fault]["doc_id"] == "ID":
+        assert ids[0] in err
+
+
+def test_report_write_error_keeps_the_old_report(tmp_path):
+    path = tmp_path / "report.json"
+    _write_report(str(path), {"docs": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write_report(str(path), {"docs": 2, "zz": object()})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["report.json"]

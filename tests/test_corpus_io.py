@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from corpusfilter.corpus_io import (
     FirstFile,
     RandomFiles,
     load_manifest,
+    parse_json_line,
     read_shard,
     sample_documents,
     save_manifest,
@@ -200,3 +203,25 @@ def test_gzip_passthrough(tmp_path):
     docs = make_docs(5)
     write_shard(path, docs)
     assert list(read_shard(path)) == docs
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": 1}', ' {"a": 1}', '{"a": 1} \r', '{"a": 1}\n', '[1, 2]', '"s"', "NaN",
+    '{"a": 1} x', '{"a": 1}{"b": 2}', "", "  ", "﻿{}", "{not json",
+    '{"a": 1}\x0c', '\x0c{"a": 1}', '{"a": "\\ud800"}', '{"a": "\\x"}',
+])
+def test_parse_json_line_is_json_loads(line):
+    assert json_outcome(parse_json_line, line) == json_outcome(json.loads, line)
+
+
+def json_outcome(parse, line):
+    try:
+        return "value", parse(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=' \t\r\n\x0c{}[]":,.-+0123456789eEaNlu\\x', max_size=12))
+def test_parse_json_line_is_json_loads_on_fuzzed_lines(line):
+    assert json_outcome(parse_json_line, line) == json_outcome(json.loads, line)

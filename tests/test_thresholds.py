@@ -1,10 +1,17 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corpusfilter.classifier import score_batch
-from corpusfilter.corpus_io import CorpusManifest, doc_to_line, read_shard, write_shard
+from corpusfilter.corpus_io import (
+    CorpusManifest,
+    Document,
+    doc_to_line,
+    read_shard,
+    write_shard,
+)
 from corpusfilter.embedding import HashedNgramProvider, get_provider
 from corpusfilter.errors import (
     DataError,
@@ -320,3 +327,115 @@ def test_filter_counts_malformed_lines(tmp_path):
     write_scores(scores_path, [{"doc_id": d.id, "score": 0.7, "shard": "x.jsonl"} for d in docs])
     stats = apply_filter(manifest, scores_path, 0.5, str(tmp_path / "out"))
     assert (stats.docs_in, stats.docs_out, stats.docs_malformed) == (2, 2, 1)
+
+
+# ------------------------------------------------- the ordered filter pass
+
+
+def scores_for(manifest, score=0.7):
+    """One record per document, in manifest order, as score_corpus writes them."""
+    return [
+        {"doc_id": d.id, "score": score, "shard": os.path.basename(path)}
+        for path in manifest.shard_paths
+        for d in read_shard(path)
+    ]
+
+
+def test_filter_copies_kept_lines_verbatim(tmp_path):
+    docs = make_docs(4)
+    lines = [
+        doc_to_line(docs[0]).encode() + b"\n",
+        # keys in another order, spaces after the separators
+        b'{"text": "%s", "source": "syn",  "lang": "en", "id": "%s"}\n'
+        % (docs[1].text.encode(), docs[1].id.encode()),
+        doc_to_line(docs[2]).encode() + b"\r\n",
+        doc_to_line(docs[3]).encode(),  # the last line has no newline
+    ]
+    shard = tmp_path / "x.jsonl"
+    shard.write_bytes(b"".join(lines))
+    manifest = CorpusManifest(corpus_name="c", lang="en", shard_paths=[str(shard)])
+    scores_path = str(tmp_path / "s.jsonl")
+    write_scores(scores_path, scores_for(manifest))
+    stats = apply_filter(manifest, scores_path, 0.5, str(tmp_path / "o"))
+    assert stats.docs_out == 4
+    assert (tmp_path / "o" / "x.jsonl").read_bytes() == b"".join(lines) + b"\n"
+
+
+def test_filter_rejects_scores_out_of_manifest_order(tmp_path):
+    manifest = make_corpus(tmp_path, n_shards=2, docs_per_shard=5)
+    records = scores_for(manifest)
+    records[6], records[7] = records[7], records[6]
+    scores_path = str(tmp_path / "s.jsonl")
+    write_scores(scores_path, records)
+    with pytest.raises(DataError, match=f"manifest order at document '{records[7]['doc_id']}'"):
+        apply_filter(manifest, scores_path, 0.5, str(tmp_path / "o"))
+
+
+def test_filter_writes_a_gz_shard_as_gz(tmp_path):
+    docs = make_docs(6)
+    shard = str(tmp_path / "x.jsonl.gz")
+    write_shard(shard, docs)
+    manifest = CorpusManifest(corpus_name="c", lang="en", shard_paths=[shard])
+    records = scores_for(manifest)
+    for i, rec in enumerate(records):
+        rec["score"] = 0.9 if i % 2 else 0.1
+    scores_path = str(tmp_path / "s.jsonl")
+    write_scores(scores_path, records)
+    out = str(tmp_path / "o" / "x.jsonl.gz")
+    assert apply_filter(manifest, scores_path, 0.5, str(tmp_path / "o")).docs_out == 3
+    with open(out, "rb") as fh:
+        assert fh.read(2) == b"\x1f\x8b"
+    assert list(read_shard(out)) == docs[1::2]
+
+
+def test_filter_error_leaves_no_partial_shard(tmp_path):
+    manifest = make_corpus(tmp_path, n_shards=2, docs_per_shard=5)
+    scores_path = str(tmp_path / "s.jsonl")
+    out_dir = tmp_path / "o"
+    write_scores(scores_path, scores_for(manifest))
+    apply_filter(manifest, scores_path, 0.5, str(out_dir))
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    # the second shard's third document loses its score
+    write_scores(scores_path, [r for i, r in enumerate(scores_for(manifest)) if i != 7])
+    with pytest.raises(MissingScoreError, match="s001_000002"):
+        apply_filter(manifest, scores_path, 0.1, str(out_dir))
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()}.keys() == before.keys()
+    second = os.path.basename(manifest.shard_paths[1])
+    assert (out_dir / second).read_bytes() == before[second]
+
+
+def filter_peak_bytes(tmp_path, text_chars, n_docs=10_000, n_shards=4):
+    root = tmp_path / f"chars{text_chars}"
+    root.mkdir()
+    paths, records = [], []
+    per_shard = n_docs // n_shards
+    for s in range(n_shards):
+        path = root / f"shard_{s}.jsonl"
+        docs = [
+            Document(id=f"s{s}_{i:06d}", text=("word " * text_chars)[:text_chars],
+                     lang="en", source="syn")
+            for i in range(per_shard)
+        ]
+        path.write_text("".join(doc_to_line(d) + "\n" for d in docs), encoding="utf-8")
+        paths.append(str(path))
+        records += [{"doc_id": d.id, "score": (i % 100 + 0.5) / 100, "shard": path.name}
+                    for i, d in enumerate(docs)]
+    manifest = CorpusManifest(corpus_name="c", lang="en", shard_paths=paths)
+    scores_path = str(root / "s.jsonl")
+    write_scores(scores_path, records)
+    del records
+    tracemalloc.start()
+    try:
+        stats = apply_filter(manifest, scores_path, 0.5, str(root / "o"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.docs_out == n_docs // 2
+    return peak
+
+
+def test_filter_memory_does_not_grow_with_text_length(tmp_path):
+    # the filter holds one shard line at a time, never a shard's documents
+    short = filter_peak_bytes(tmp_path, 500)
+    long = filter_peak_bytes(tmp_path, 5000)
+    assert long <= 1.2 * short, (short, long)
