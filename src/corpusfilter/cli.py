@@ -18,7 +18,9 @@ embedding provider).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -28,13 +30,73 @@ import yaml
 
 from . import __version__
 from . import classifier as clf_mod
-from . import clustering, planner, thresholds
+from . import clustering, corpus_io, planner, thresholds
 from .corpus_io import FirstFile, RandomFiles, atomic_write, load_manifest, read_shard
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, DataError, EmptyCorpusError, ToolkitError
 
 ENDPOINT_ENV = "CORPUSFILTER_EMBED_ENDPOINT"
 TOKEN_ENV = "CORPUSFILTER_EMBED_TOKEN"
+
+# The config format: a key maps to its type, to [type] for a list, or to a
+# sub-section, and [{...}] is a list of sub-sections. Defaults sit where a
+# value is read; the embedding and train ones in their dataclasses.
+CONFIG_KEYS = {
+    "seed": int, "output_dir": str, "workers": int, "classifier": str, "scores": str,
+    "percentiles": [float],
+    "embedding": {"kind": str, "dim": int, "endpoint": str, "ngram_range": [int], "seed": int,
+                  "batch_size": int, "truncate_chars": int},
+    "train": {"positives": [str], "negatives": [str], "annotations": str, "l2_lambda": float,
+              "max_epochs": int, "learning_rate": float, "tolerance": float},
+    "corpus": {"manifest": str},
+    "threshold": {"strategy": str, "n_random": int, "max_docs": int, "compare": bool,
+                  "percentile": float},
+    "filter": {"tau": float, "percentile": float, "out_dir": str},
+    "clusters": {"k": int, "max_iters": int, "fit": {"manifest": str, "max_docs": int},
+                 "datasets": [{"name": str, "manifest": str, "max_docs": int}]},
+    "plan": {"steps": int, "batch_size": int, "context_len": int, "model_params": float,
+             "languages": [{"lang": str, "weight": float}],
+             "budgets": [{"dataset": str, "lang": str, "available_tokens": float}]},
+    "report": {"scores": [{"name": str, "path": str}]},
+}
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class Section(dict):
+    """A checked config section; reading a key it lacks is a ConfigError."""
+    prefix = ""  # the dotted name of the section, with its trailing dot
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"config key {self.prefix}{key} is required for this command")
+
+
+def check_config(value, kind=CONFIG_KEYS, key: str = ""):
+    """`value` of the config key `key` checked against its `kind` in CONFIG_KEYS.
+    Numbers are converted, not type-checked: YAML 1.1 reads `1e-4` as a string.
+    A null value is absent, an absent section is empty, a list becomes a tuple."""
+    if isinstance(kind, dict):
+        value = {} if value is None else value
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key} must be a mapping")
+        section = Section()
+        section.prefix = f"{key}." if key else ""
+        for name in value:
+            if name not in kind:
+                raise ConfigError(f"unknown config key {section.prefix}{name}")
+        for name, sub in kind.items():
+            if value.get(name) is not None or isinstance(sub, dict):
+                section[name] = check_config(value.get(name), sub, section.prefix + name)
+        return section
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key} must be a list")
+        return tuple(check_config(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value))
+    if kind in (str, bool) and not isinstance(value, kind):
+        raise ConfigError(f"config key {key} must be a {kind.__name__}, not {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key}: {exc}") from None
 
 
 def load_config(path: str) -> dict:
@@ -42,7 +104,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_YAML_LOADER)
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -55,14 +117,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _stamp(cfg: dict) -> dict:
-    return {
-        "config_hash": config_hash(cfg),
-        "seed": int(cfg.get("seed", 0)),
-        "toolkit_version": __version__,
-    }
-
-
 def _write_report(path: str, payload: dict) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with atomic_write(path) as fh:
@@ -71,24 +125,14 @@ def _write_report(path: str, payload: dict) -> None:
 
 
 def provider_config(cfg: dict) -> EmbeddingProviderConfig:
-    emb = dict(cfg.get("embedding") or {})
+    emb = {"seed": cfg.get("seed", 0), **cfg["embedding"]}
     if ENDPOINT_ENV in os.environ:
         emb["endpoint"] = os.environ[ENDPOINT_ENV]
-    headers = {}
     if TOKEN_ENV in os.environ:
-        headers["Authorization"] = f"Bearer {os.environ[TOKEN_ENV]}"
+        emb["headers"] = {"Authorization": f"Bearer {os.environ[TOKEN_ENV]}"}
     try:
-        return EmbeddingProviderConfig(
-            kind=emb.get("kind", "hashed_ngram"),
-            dim=int(emb.get("dim", 384)),
-            endpoint=emb.get("endpoint"),
-            ngram_range=tuple(emb.get("ngram_range", (2, 4))),
-            seed=int(emb.get("seed", cfg.get("seed", 0))),
-            batch_size=int(emb.get("batch_size", 256)),
-            truncate_chars=int(emb.get("truncate_chars", 2048)),
-            headers=headers,
-        )
-    except (TypeError, ValueError) as exc:
+        return EmbeddingProviderConfig(**emb)
+    except ValueError as exc:  # an ngram_range that is not two numbers
         raise ConfigError(f"bad embedding config: {exc}") from exc
 
 
@@ -98,21 +142,37 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
+def _read_annotations(path: str) -> list[dict]:
+    records = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = corpus_io.parse_json_line(line.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise DataError(f"{path}:{line_no}: annotation is not UTF-8 JSON: {exc}") from exc
+            if type(rec) is not dict or type(rec.get("text")) is not str or "score" not in rec:
+                raise DataError(f"{path}:{line_no}: annotation is not an object with a "
+                                "string 'text' and a 'score'")
+            records.append(rec)
+    return records
+
+
 def _load_seed_documents(train_cfg: dict) -> tuple[list[str], list[int], str]:
+    """Texts, labels and provenance; pops the seed-document keys from `train_cfg`."""
     texts: list[str] = []
     labels: list[int] = []
     origins: list[str] = []
     for label, key in ((1, "positives"), (0, "negatives")):
-        for path in train_cfg.get(key, []) or []:
+        for path in train_cfg.pop(key, ()):
             for doc in read_shard(path):
                 texts.append(doc.text)
                 labels.append(label)
             origins.append(f"{key}:{os.path.basename(path)}")
-    ann_path = train_cfg.get("annotations")
+    ann_path = train_cfg.pop("annotations", None)
     if ann_path:
-        with open(ann_path, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-        for text, y in clf_mod.binarize_fwe_annotations(records):
+        for text, y in clf_mod.binarize_fwe_annotations(_read_annotations(ann_path)):
             texts.append(text)
             labels.append(y)
         origins.append(f"annotations:{os.path.basename(ann_path)}")
@@ -121,21 +181,11 @@ def _load_seed_documents(train_cfg: dict) -> tuple[list[str], list[int], str]:
     return texts, labels, ",".join(origins)
 
 
-def cmd_train_filter(cfg: dict) -> int:
-    train_cfg = cfg.get("train") or {}
-    if "batch_size" in train_cfg:
-        raise ConfigError("train.batch_size is not supported: the classifier trains full-batch")
+def cmd_train_filter(cfg: dict, stamp: dict) -> int:
+    train_cfg = dict(cfg["train"])
     texts, labels, provenance = _load_seed_documents(train_cfg)
-    pcfg = provider_config(cfg)
-    provider = get_provider(pcfg)
-    X = embed_texts(provider, texts)
-    tconf = clf_mod.TrainConfig(
-        l2_lambda=float(train_cfg.get("l2_lambda", 1e-4)),
-        max_epochs=int(train_cfg.get("max_epochs", 500)),
-        learning_rate=float(train_cfg.get("learning_rate", 1.0)),
-        tolerance=float(train_cfg.get("tolerance", 1e-6)),
-        seed=int(cfg.get("seed", 0)),
-    )
+    tconf = clf_mod.TrainConfig(**train_cfg, seed=cfg.get("seed", 0))
+    X = embed_texts(get_provider(provider_config(cfg)), texts)
     clf = clf_mod.train_logistic(X, labels, tconf)
     clf.trained_on = provenance
 
@@ -143,7 +193,7 @@ def cmd_train_filter(cfg: dict) -> int:
     clf_path = cfg.get("classifier") or os.path.join(out, "classifier.json")
     clf_mod.save_classifier(clf, clf_path)
     report = {
-        **_stamp(cfg),
+        **stamp,
         "classifier": clf_path,
         "trained_on": provenance,
         "train_loss": clf.train_loss,
@@ -154,24 +204,16 @@ def cmd_train_filter(cfg: dict) -> int:
     return 0
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
-        raise ConfigError(f"config key {key!r} is required for this command")
-    return cfg[key]
-
-
 def _scores_path(cfg: dict) -> str:
     return cfg.get("scores") or os.path.join(_out_dir(cfg), "scores.jsonl")
 
 
-def cmd_score(cfg: dict) -> int:
-    manifest = load_manifest(_require(cfg.get("corpus") or {}, "manifest"))
-    clf = clf_mod.load_classifier(_require(cfg, "classifier"))
+def cmd_score(cfg: dict, stamp: dict) -> int:
+    manifest = load_manifest(cfg["corpus"]["manifest"])
+    clf = clf_mod.load_classifier(cfg["classifier"])
     pcfg = provider_config(cfg)
     out_path = _scores_path(cfg)
-    count = thresholds.score_corpus(
-        manifest, pcfg, clf, out_path, workers=int(cfg.get("workers", 1))
-    )
+    count = thresholds.score_corpus(manifest, pcfg, clf, out_path, workers=cfg.get("workers", 1))
     print(f"scored {count} documents -> {out_path}")
     return 0
 
@@ -181,25 +223,25 @@ def _strategy_from(th_cfg: dict, seed: int):
     if name == "first_file":
         return FirstFile()
     if name == "random_files":
-        return RandomFiles(n=int(th_cfg.get("n_random", 10)), seed=seed)
+        return RandomFiles(n=th_cfg.get("n_random", 10), seed=seed)
     raise ConfigError(f"unknown sampling strategy {name!r}")
 
 
-def cmd_threshold(cfg: dict) -> int:
-    manifest = load_manifest(_require(cfg.get("corpus") or {}, "manifest"))
-    clf = clf_mod.load_classifier(_require(cfg, "classifier"))
+def cmd_threshold(cfg: dict, stamp: dict) -> int:
+    manifest = load_manifest(cfg["corpus"]["manifest"])
+    clf = clf_mod.load_classifier(cfg["classifier"])
     pcfg = provider_config(cfg)
-    th_cfg = cfg.get("threshold") or {}
-    seed = int(cfg.get("seed", 0))
+    th_cfg = cfg["threshold"]
+    seed = cfg.get("seed", 0)
     strategy = _strategy_from(th_cfg, seed)
-    max_docs = int(th_cfg.get("max_docs", 100_000))
-    percentiles = cfg.get("percentiles") or list(thresholds.PERCENTILE_PRESETS)
+    max_docs = th_cfg.get("max_docs", 100_000)
+    percentiles = cfg.get("percentiles") or thresholds.PERCENTILE_PRESETS
 
     estimates = thresholds.estimate_thresholds(
-        manifest, pcfg, clf, [float(p) for p in percentiles], strategy, max_docs
+        manifest, pcfg, clf, list(percentiles), strategy, max_docs
     )
     report = {
-        **_stamp(cfg),
+        **stamp,
         "corpus_name": manifest.corpus_name,
         "estimates": [vars(e) for e in estimates],
     }
@@ -208,8 +250,8 @@ def cmd_threshold(cfg: dict) -> int:
             manifest,
             pcfg,
             clf,
-            float(th_cfg.get("percentile", 90)),
-            n_random=int(th_cfg.get("n_random", 10)),
+            th_cfg.get("percentile", 90.0),
+            n_random=th_cfg.get("n_random", 10),
             seed=seed,
             max_docs=max_docs,
         )
@@ -221,29 +263,37 @@ def cmd_threshold(cfg: dict) -> int:
 
 
 def _resolve_tau(cfg: dict) -> float:
-    f_cfg = cfg.get("filter") or {}
-    if f_cfg.get("tau") is not None:
-        return float(f_cfg["tau"])
+    f_cfg = cfg["filter"]
+    if "tau" in f_cfg:
+        return f_cfg["tau"]
     report_path = os.path.join(_out_dir(cfg), "threshold_report.json")
-    percentile = float(f_cfg.get("percentile", 90))
+    percentile = f_cfg.get("percentile", 90.0)
     if os.path.exists(report_path):
-        with open(report_path, encoding="utf-8") as fh:
-            report = json.load(fh)
-        for e in report.get("estimates", []):
-            if abs(float(e["percentile"]) - percentile) < 1e-9:
+        report = corpus_io.load_json_object(report_path, "threshold report", ("estimates",))
+        estimates = report["estimates"]
+        # type(), not isinstance: a bool is an int
+        if not isinstance(estimates, list) or not all(
+            isinstance(e, dict) and {type(e.get("percentile")), type(e.get("tau"))} <= {int, float}
+            for e in estimates
+        ):
+            raise DataError(
+                f"threshold report {report_path}: 'estimates' must be a list of objects "
+                "with a numeric 'percentile' and 'tau'"
+            )
+        for e in estimates:
+            if abs(e["percentile"] - percentile) < 1e-9:
                 return float(e["tau"])
     raise ConfigError(
         "no filter.tau given and no matching threshold_report.json estimate found"
     )
 
 
-def cmd_filter(cfg: dict) -> int:
-    manifest = load_manifest(_require(cfg.get("corpus") or {}, "manifest"))
+def cmd_filter(cfg: dict, stamp: dict) -> int:
+    manifest = load_manifest(cfg["corpus"]["manifest"])
     tau = _resolve_tau(cfg)
-    f_cfg = cfg.get("filter") or {}
-    out_dir = f_cfg.get("out_dir") or os.path.join(_out_dir(cfg), "filtered")
+    out_dir = cfg["filter"].get("out_dir") or os.path.join(_out_dir(cfg), "filtered")
     stats = thresholds.apply_filter(manifest, _scores_path(cfg), tau, out_dir)
-    report = {**_stamp(cfg), "corpus_name": manifest.corpus_name, **vars(stats)}
+    report = {**stamp, "corpus_name": manifest.corpus_name, **vars(stats)}
     _write_report(os.path.join(_out_dir(cfg), "filter_stats.json"), report)
     print(
         f"kept {stats.docs_out}/{stats.docs_in} docs "
@@ -253,52 +303,42 @@ def cmd_filter(cfg: dict) -> int:
 
 
 def _embed_manifest_sample(manifest_path: str, pcfg, max_docs: int) -> np.ndarray:
-    from .corpus_io import sample_documents
-
-    manifest = load_manifest(manifest_path)
-    docs = sample_documents(manifest, FirstFile(), max_docs=max_docs)
-    # spill over into remaining shards when the first one is too small
-    if len(docs) < max_docs and len(manifest.shard_paths) > 1:
-        for path in manifest.shard_paths[1:]:
-            for doc in read_shard(path):
-                docs.append(doc)
-                if len(docs) >= max_docs:
-                    break
-            if len(docs) >= max_docs:
-                break
-    provider = get_provider(pcfg)
-    return embed_texts(provider, [d.text for d in docs])
+    """Embeddings of the first `max_docs` documents of the manifest's shards."""
+    if max_docs <= 0:
+        raise DataError("max_docs must be positive")
+    shards = load_manifest(manifest_path).shard_paths
+    docs = itertools.chain.from_iterable(read_shard(path) for path in shards)
+    texts = [doc.text for doc in itertools.islice(docs, max_docs)]
+    if not texts:
+        raise EmptyCorpusError(f"no documents in the shards of {manifest_path}")
+    return embed_texts(get_provider(pcfg), texts)
 
 
-def cmd_clusters(cfg: dict) -> int:
-    cl_cfg = cfg.get("clusters") or {}
+def cmd_clusters(cfg: dict, stamp: dict) -> int:
+    cl_cfg = cfg["clusters"]
     pcfg = provider_config(cfg)
-    fit_cfg = cl_cfg.get("fit") or {}
-    K = int(cl_cfg.get("k", 64))
-    X = _embed_manifest_sample(
-        _require(fit_cfg, "manifest"), pcfg, int(fit_cfg.get("max_docs", 200_000))
-    )
+    fit_cfg = cl_cfg["fit"]
+    K = cl_cfg.get("k", 64)
+    # read every dataset entry before the first artefact is written
+    datasets = [(e["name"], e["manifest"], e.get("max_docs", 10_000))
+                for e in cl_cfg.get("datasets", ())]
+    X = _embed_manifest_sample(fit_cfg["manifest"], pcfg, fit_cfg.get("max_docs", 200_000))
     model = clustering.fit_balanced_kmeans(
-        X, K, seed=int(cfg.get("seed", 0)), max_iters=int(cl_cfg.get("max_iters", 50))
+        X, K, seed=cfg.get("seed", 0), max_iters=cl_cfg.get("max_iters", 50)
     )
     out = _out_dir(cfg)
     clustering.save_cluster_model(model, os.path.join(out, "cluster_model.json"))
 
-    histograms = []
-    for entry in cl_cfg.get("datasets", []) or []:
-        Xd = _embed_manifest_sample(
-            entry["manifest"], pcfg, int(entry.get("max_docs", 10_000))
-        )
-        histograms.append(
-            clustering.histogram_over_clusters(model, Xd, entry["name"])
-        )
-
+    histograms = [
+        clustering.histogram_over_clusters(model, _embed_manifest_sample(path, pcfg, n), name)
+        for name, path, n in datasets
+    ]
     names = [h.dataset_name for h in histograms]
     tv = [
         [clustering.histogram_distance(a, b) for b in histograms] for a in histograms
     ]
     report = {
-        **_stamp(cfg),
+        **stamp,
         "K": K,
         "wcss_history": model.wcss_history_,
         "datasets": names,
@@ -322,22 +362,22 @@ def cmd_clusters(cfg: dict) -> int:
     return 0
 
 
-def cmd_plan(cfg: dict) -> int:
-    p_cfg = _require(cfg, "plan")
+def cmd_plan(cfg: dict, stamp: dict) -> int:
+    p_cfg = cfg["plan"]
     plan = planner.TrainingPlan(
-        steps=int(p_cfg["steps"]),
-        batch_size=int(p_cfg["batch_size"]),
-        context_len=int(p_cfg["context_len"]),
+        steps=p_cfg["steps"],
+        batch_size=p_cfg["batch_size"],
+        context_len=p_cfg["context_len"],
         languages=[
-            planner.LanguageWeight(lang=e["lang"], weight=float(e["weight"]))
+            planner.LanguageWeight(lang=e["lang"], weight=e["weight"])
             for e in p_cfg["languages"]
         ],
-        model_params=float(p_cfg["model_params"]),
+        model_params=p_cfg["model_params"],
     )
-    rows = planner.plan_mix(plan, p_cfg.get("budgets", []))
+    rows = planner.plan_mix(plan, p_cfg.get("budgets", ()))
     total = planner.tokens_for_steps(plan.steps, plan.batch_size, plan.context_len)
     report = {
-        **_stamp(cfg),
+        **stamp,
         "total_tokens": total,
         "chinchilla_multiple": planner.chinchilla_multiple(total, plan.model_params),
         "rows": [vars(r) for r in rows],
@@ -353,19 +393,17 @@ def cmd_plan(cfg: dict) -> int:
     return 0
 
 
-def cmd_report(cfg: dict) -> int:
+def cmd_report(cfg: dict, stamp: dict) -> int:
     """Percentile/score table across score files, one column per corpus."""
-    r_cfg = cfg.get("report") or {}
-    entries = r_cfg.get("scores") or [{"name": "scores", "path": _scores_path(cfg)}]
-    percentiles = cfg.get("percentiles") or [10, 30, 40, 60, 70, 90, 95]
+    entries = cfg["report"].get("scores") or [{"name": "scores", "path": _scores_path(cfg)}]
+    percentiles = cfg.get("percentiles") or (10.0, 30.0, 40.0, 60.0, 70.0, 90.0, 95.0)
     columns = {}
     for e in entries:
         values = list(thresholds.load_scores(e["path"]).values())
         columns[e["name"]] = {
-            f"{float(p):g}": thresholds.estimate_percentile_threshold(values, float(p))
-            for p in percentiles
+            f"{p:g}": thresholds.estimate_percentile_threshold(values, p) for p in percentiles
         }
-    report = {**_stamp(cfg), "percentiles": [float(p) for p in percentiles], "table": columns}
+    report = {**stamp, "percentiles": list(percentiles), "table": columns}
     out = os.path.join(_out_dir(cfg), "percentile_table.json")
     _write_report(out, report)
 
@@ -373,7 +411,7 @@ def cmd_report(cfg: dict) -> int:
     names = list(columns)
     with atomic_write(csv_path) as fh:
         fh.write("percentile," + ",".join(names) + "\n")
-        for p in sorted((float(p) for p in percentiles), reverse=True):
+        for p in sorted(percentiles, reverse=True):
             fh.write(
                 f"{p:g},"
                 + ",".join(f"{columns[n][f'{p:g}']:.6f}" for n in names)
@@ -394,6 +432,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corpusfilter",
@@ -413,12 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        raw = load_config(args.config)
         for key in ("seed", "output_dir", "workers"):
-            val = getattr(args, key.replace("-", "_"), None)
+            val = getattr(args, key, None)
             if val is not None:
-                cfg[key] = val
-        return COMMANDS[args.command](cfg)
+                raw[key] = val
+        cfg = check_config(raw)
+        # hashed as read, so that every report keeps its bytes
+        stamp = {"config_hash": config_hash(raw), "seed": cfg.get("seed", 0),
+                 "toolkit_version": __version__}
+        return COMMANDS[args.command](cfg, stamp)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

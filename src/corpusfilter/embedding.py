@@ -31,7 +31,7 @@ DEFAULT_TRUNCATE_CHARS = 2048
 
 @dataclass
 class EmbeddingProviderConfig:
-    kind: str  # "remote" | "hashed_ngram"
+    kind: str = "hashed_ngram"  # or "remote"
     dim: int = DEFAULT_DIM
     endpoint: str | None = None
     ngram_range: tuple[int, int] = (2, 4)

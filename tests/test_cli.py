@@ -8,8 +8,9 @@ import yaml
 
 import corpusfilter
 
-from corpusfilter.cli import _write_report, main
-from corpusfilter.corpus_io import read_shard, save_manifest, write_shard
+from corpusfilter import cli
+from corpusfilter.cli import _write_report, check_config, load_config, main
+from corpusfilter.corpus_io import CorpusManifest, read_shard, save_manifest, write_shard
 
 from conftest import make_corpus, make_docs
 from test_embedding import MockEmbedHandler, mock_server  # noqa: F401
@@ -411,3 +412,152 @@ def test_report_write_error_keeps_the_old_report(tmp_path):
         _write_report(str(path), {"docs": 2, "zz": object()})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def write_config(cfg_path, cfg):
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+
+
+PLAN = {"steps": 10, "batch_size": 4, "context_len": 8, "model_params": 100.0,
+        "languages": [{"lang": "en", "weight": 1.0}],
+        "budgets": [{"dataset": "d", "lang": "en", "available_tokens": 1000.0}]}
+
+BAD_CONFIGS = {
+    # name: (command, edit of the build_workspace config, dotted key named)
+    "misspelt_top_level": ("score", lambda c: c.update(wokers=2), "wokers"),
+    "misspelt_train": ("train-filter", lambda c: c["train"].update(l2_lamda=0.5), "train.l2_lamda"),
+    "misspelt_threshold": ("threshold", lambda c: c["threshold"].update(max_doc=5),
+                           "threshold.max_doc"),
+    "max_docs_not_a_number": ("threshold", lambda c: c["threshold"].update(max_docs="abc"),
+                              "threshold.max_docs"),
+    "max_epochs_not_a_number": ("train-filter", lambda c: c["train"].update(max_epochs="abc"),
+                                "train.max_epochs"),
+    "tau_not_a_number": ("filter", lambda c: c["filter"].update(tau="abc"), "filter.tau"),
+    "workers_not_a_number": ("score", lambda c: c.update(workers="two"), "workers"),
+    "embedding_not_a_mapping": ("score", lambda c: c.update(embedding=5), "embedding"),
+    "train_not_a_mapping": ("train-filter", lambda c: c.update(train=["x"]), "train"),
+    "plan_without_steps": (
+        "plan", lambda c: c.update(plan={k: v for k, v in PLAN.items() if k != "steps"}),
+        "plan.steps"),
+    "report_entry_without_path": ("report", lambda c: c.update(report={"scores": [{"name": "a"}]}),
+                                  "report.scores[0].path"),
+    "clusters_dataset_without_manifest": (
+        "clusters",
+        lambda c: c.update(clusters={"k": 2, "fit": {"manifest": c["corpus"]["manifest"]},
+                                     "datasets": [{"name": "a"}]}),
+        "clusters.datasets[0].manifest"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONFIGS))
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, name):
+    command, edit, key = BAD_CONFIGS[name]
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    edit(cfg)
+    write_config(cfg_path, cfg)
+    assert run(command, cfg_path) == 2
+    assert f"config key {key}" in capsys.readouterr().err
+    assert not os.path.exists(cfg["output_dir"])
+
+
+def readme_config() -> str:
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    return readme.split("Example config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_example_config_passes_the_checker():
+    cfg = check_config(yaml.safe_load(readme_config()))
+    # YAML 1.1 reads these as strings; the checker converts them
+    assert cfg["plan"]["model_params"] == 1.3e9
+    assert cfg["plan"]["budgets"][0]["available_tokens"] == 125e9
+    assert cfg["embedding"]["ngram_range"] == (2, 4)
+    assert cfg["report"] == {} and cfg["clusters"]["fit"] == {}
+
+
+@pytest.mark.parametrize("source", ["readme", "build_workspace"])
+def test_config_loaders_agree(tmp_path, source):
+    if source == "readme":
+        path = tmp_path / "config.yaml"
+        path.write_text(readme_config())
+    else:
+        path = build_workspace(tmp_path)[1]
+    text = open(path).read()
+    assert cli._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert load_config(str(path)) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_config_hash_is_of_the_config_as_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.yaml").write_text(
+        "seed: 0\noutput_dir: out\ntrain: {l2_lambda: 1e-4, max_epochs: 300}\n"
+        "plan:\n  steps: 200000\n  batch_size: 1024\n  context_len: 1024\n"
+        "  model_params: 1.3e9\n  languages: [{lang: en, weight: 1.0}]\n"
+        "  budgets: [{dataset: en_data, lang: en, available_tokens: 125.0e9}]\n"
+    )
+    assert main(["plan", "-c", "config.yaml", "--workers", "2"]) == 0
+    report = json.load(open(tmp_path / "out" / "plan_report.json"))
+    assert report["config_hash"] == "0e87ec09d7c30a3a"
+
+
+@pytest.mark.parametrize("second_shard_docs,code", [(30, 0), (0, 3)])
+def test_clusters_sample_runs_on_past_an_empty_first_shard(tmp_path, capsys,
+                                                           second_shard_docs, code):
+    cfg, cfg_path, _ = build_workspace(tmp_path)
+    a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    with open(a, "w") as fh:
+        fh.write("{not json\n" * 3)
+    write_shard(b, make_docs(second_shard_docs, seed=9))
+    save_manifest(CorpusManifest(corpus_name="c", lang="en", shard_paths=[a, b]),
+                  str(tmp_path / "two.json"))
+    cfg["clusters"] = {"k": 2, "fit": {"manifest": str(tmp_path / "two.json")}}
+    write_config(cfg_path, cfg)
+    assert run("clusters", cfg_path) == code
+    if code:
+        assert "no documents" in capsys.readouterr().err
+    else:
+        model = json.load(open(os.path.join(cfg["output_dir"], "cluster_model.json")))
+        assert model["K"] == 2
+
+
+BAD_THRESHOLD_REPORTS = {
+    "not_json": "{not json",
+    "a_list": "[]",
+    "estimate_without_percentile": '{"estimates": [{"tau": 0.5}]}',
+    "tau_not_a_number": '{"estimates": [{"percentile": 90.0, "tau": "x"}]}',
+    "estimates_not_a_list": '{"estimates": 5}',
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_THRESHOLD_REPORTS))
+def test_bad_threshold_report_is_a_data_error(tmp_path, capsys, fault):
+    cfg, cfg_path, _ = build_workspace(tmp_path)
+    path = os.path.join(cfg["output_dir"], "threshold_report.json")
+    os.makedirs(cfg["output_dir"])
+    with open(path, "w") as fh:
+        fh.write(BAD_THRESHOLD_REPORTS[fault])
+    assert run("filter", cfg_path) == 3
+    assert path in capsys.readouterr().err
+
+
+BAD_ANNOTATIONS = {
+    "not_json": b"{not json",
+    "invalid_utf8": b'{"text": "byte \xff", "score": 3}',
+    "not_an_object": b'["t", 3]',
+    "no_score": b'{"text": "t"}',
+    "no_text": b'{"score": 3}',
+    "text_not_a_string": b'{"text": 5, "score": 3}',
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_ANNOTATIONS))
+def test_bad_annotation_line_is_a_data_error(tmp_path, capsys, fault):
+    cfg, cfg_path, _ = build_workspace(tmp_path)
+    path = str(tmp_path / "ann.jsonl")
+    with open(path, "wb") as fh:
+        # the blank line is skipped, but still counted in the line numbers
+        fh.write(b'{"text": "t", "score": 3}\n\n' + BAD_ANNOTATIONS[fault] + b"\n")
+    cfg["train"]["annotations"] = path
+    write_config(cfg_path, cfg)
+    assert run("train-filter", cfg_path) == 3
+    assert f"{path}:3:" in capsys.readouterr().err
