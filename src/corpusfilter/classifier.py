@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import load_json_object
+from .corpus_io import atomic_write, load_json_object
 from .errors import (
     DataError,
     DimensionMismatchError,
@@ -219,7 +219,7 @@ def save_classifier(clf: LinearClassifier, path: str) -> None:
         "l2_lambda": clf.l2_lambda,
         "train_loss": clf.train_loss,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(rec, fh, ensure_ascii=False, sort_keys=True)
         fh.write("\n")
 

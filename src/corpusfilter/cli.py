@@ -38,13 +38,14 @@ from .errors import ConfigError, DataError, EmptyCorpusError, ToolkitError
 ENDPOINT_ENV = "CORPUSFILTER_EMBED_ENDPOINT"
 TOKEN_ENV = "CORPUSFILTER_EMBED_TOKEN"
 
-# The config format: a key maps to its type, to [type] for a list, or to a
-# sub-section, and [{...}] is a list of sub-sections. Defaults sit where a
-# value is read; the embedding and train ones in their dataclasses.
+# The config format: a key maps to its type, to [type] for a list, to
+# (type, type) for a list of exactly two, or to a sub-section, and [{...}] is
+# a list of sub-sections. Defaults sit where a value is read; the embedding
+# and train ones in their dataclasses.
 CONFIG_KEYS = {
     "seed": int, "output_dir": str, "workers": int, "classifier": str, "scores": str,
     "percentiles": [float],
-    "embedding": {"kind": str, "dim": int, "endpoint": str, "ngram_range": [int], "seed": int,
+    "embedding": {"kind": str, "dim": int, "endpoint": str, "ngram_range": (int, int), "seed": int,
                   "batch_size": int, "truncate_chars": int},
     "train": {"positives": [str], "negatives": [str], "annotations": str, "l2_lambda": float,
               "max_epochs": int, "learning_rate": float, "tolerance": float},
@@ -73,7 +74,8 @@ class Section(dict):
 def check_config(value, kind=CONFIG_KEYS, key: str = ""):
     """`value` of the config key `key` checked against its `kind` in CONFIG_KEYS.
     Numbers are converted, not type-checked: YAML 1.1 reads `1e-4` as a string.
-    A null value is absent, an absent section is empty, a list becomes a tuple."""
+    But a bool is not a number, and an int key takes no fraction. A null value
+    is absent, an absent section is empty, a list becomes a tuple."""
     if isinstance(kind, dict):
         value = {} if value is None else value
         if not isinstance(value, dict):
@@ -87,12 +89,19 @@ def check_config(value, kind=CONFIG_KEYS, key: str = ""):
             if value.get(name) is not None or isinstance(sub, dict):
                 section[name] = check_config(value.get(name), sub, section.prefix + name)
         return section
-    if isinstance(kind, list):
+    if isinstance(kind, (list, tuple)):
         if not isinstance(value, list):
             raise ConfigError(f"config key {key} must be a list")
+        if isinstance(kind, tuple) and len(value) != len(kind):
+            raise ConfigError(f"config key {key} must be a list of {len(kind)} "
+                              f"{kind[0].__name__} values, not {value!r}")
         return tuple(check_config(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value))
     if kind in (str, bool) and not isinstance(value, kind):
         raise ConfigError(f"config key {key} must be a {kind.__name__}, not {value!r}")
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"config key {key} must be a number, not {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key} must be an integer, not {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -130,10 +139,7 @@ def provider_config(cfg: dict) -> EmbeddingProviderConfig:
         emb["endpoint"] = os.environ[ENDPOINT_ENV]
     if TOKEN_ENV in os.environ:
         emb["headers"] = {"Authorization": f"Bearer {os.environ[TOKEN_ENV]}"}
-    try:
-        return EmbeddingProviderConfig(**emb)
-    except ValueError as exc:  # an ngram_range that is not two numbers
-        raise ConfigError(f"bad embedding config: {exc}") from exc
+    return EmbeddingProviderConfig(**emb)
 
 
 def _out_dir(cfg: dict) -> str:
@@ -155,6 +161,10 @@ def _read_annotations(path: str) -> list[dict]:
             if type(rec) is not dict or type(rec.get("text")) is not str or "score" not in rec:
                 raise DataError(f"{path}:{line_no}: annotation is not an object with a "
                                 "string 'text' and a 'score'")
+            try:
+                corpus_io._require_utf8("text", rec["text"])
+            except ValueError as exc:  # a lone surrogate from a \ud800 escape
+                raise DataError(f"{path}:{line_no}: annotation {exc}") from exc
             records.append(rec)
     return records
 

@@ -14,6 +14,15 @@ X, one X-sized work array for the WCSS, and O(n*K + block*d) for the
 distances; no (n, K, d) array is ever built. Nearest-centroid assignment
 settles near ties with the direct sum of squared differences, so that
 ties go to the lowest cluster id exactly as the direct form would.
+
+k-means++ seeding keeps each point's squared distance to its nearest seed,
+`d2`, in the direct form, because `d2` sets the probabilities of the seeded
+draws. Only the first seed costs a full direct pass. For each later seed c,
+one matrix-vector product gives every row's expanded distance to c, and the
+direct form runs only on the rows where that is within `_TIE_RTOL` of
+reaching `d2`. Both forms are within a few d * 2^-53 * (||x||^2 + ||c||^2)
+of the exact distance, far inside that slack, so a skipped row's direct
+distance is at least its `d2`, and taking the minimum would not change it.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .corpus_io import atomic_write
 from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
@@ -99,33 +109,53 @@ def _sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return D
 
 
-def _direct_sq_distances(X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Sum of squared differences from each row of X to the point c, one
-    block of rows at a time; bit-identical to ((X - c) ** 2).sum(axis=1)."""
-    n = X.shape[0]
+def _direct_sq_distances(
+    X: np.ndarray, c: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum of squared differences from each row of X, or from each of the
+    rows `rows` names, to the point c, one block of rows at a time;
+    bit-identical to ((X[rows] - c) ** 2).sum(axis=1)."""
+    n = X.shape[0] if rows is None else len(rows)
     d2 = np.empty(n)
     work = np.empty((min(n, _BLOCK_ROWS), X.shape[1]))
     for lo in range(0, n, _BLOCK_ROWS):
-        blk = X[lo : lo + _BLOCK_ROWS]
-        diff = np.subtract(blk, c, out=work[: blk.shape[0]])
+        diff = work[: min(n - lo, _BLOCK_ROWS)]
+        if rows is None:
+            np.subtract(X[lo : lo + _BLOCK_ROWS], c, out=diff)
+        else:
+            # the rows are in range; mode "raise" would gather through a buffer
+            np.take(X, rows[lo : lo + _BLOCK_ROWS], axis=0, out=diff, mode="clip")
+            diff -= c
         diff *= diff
         diff.sum(axis=1, out=d2[lo : lo + _BLOCK_ROWS])
     return d2
 
 
 def _kmeans_pp_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    # the direct form keeps d2, and so the seeded draws, bit-stable
+    """k-means++ seeds with `d2` in the direct form. After the first seed,
+    the direct form runs only on the rows a new seed may bring closer: a row
+    whose expanded distance exceeds its `d2` by more than the `_TIE_RTOL`
+    slack has a direct distance of at least `d2` as well (see the module
+    docstring), so its `d2`, and every later draw, is what a full pass gives."""
     n = X.shape[0]
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
     d2 = _direct_sq_distances(X, centroids[0])
+    xx = _row_norms(X)
     for k in range(1, K):
         total = d2.sum()
         if total <= 0:
             centroids[k] = X[rng.integers(n)]
         else:
             centroids[k] = X[rng.choice(n, p=d2 / total)]
-        np.minimum(d2, _direct_sq_distances(X, centroids[k]), out=d2)
+        c = centroids[k]
+        cc = c @ c
+        gap = X @ c
+        gap *= -2.0
+        gap += xx
+        gap += cc - d2
+        near = np.flatnonzero(gap <= _TIE_RTOL * (xx + cc))
+        d2[near] = np.minimum(d2[near], _direct_sq_distances(X, c, near))
     return centroids
 
 
@@ -134,21 +164,21 @@ def _balanced_assign(D: np.ndarray, capacity: int) -> np.ndarray:
 
     Points are processed in ascending order of their distance to the
     nearest centroid, each going to its closest cluster that still has
-    room. Early (confident) points almost always get their first choice;
-    only boundary points get bumped.
+    room, the lowest id among equals. Early (confident) points almost
+    always get their first choice; only boundary points get bumped, and
+    only they search the clusters with room.
     """
-    n, K = D.shape
-    order = np.argsort(np.min(D, axis=1), kind="stable")
-    ranked = np.argsort(D, axis=1, kind="stable")
-    sizes = np.zeros(K, dtype=np.int64)
-    labels = np.full(n, -1, dtype=np.int64)
-    for i in order:
-        for k in ranked[i]:
-            if sizes[k] < capacity:
-                labels[i] = k
-                sizes[k] += 1
-                break
-    return labels
+    labels = np.argmin(D, axis=1).tolist()
+    sizes = [0] * D.shape[1]
+    room = np.arange(D.shape[1])
+    for i in np.argsort(np.min(D, axis=1), kind="stable").tolist():
+        k = labels[i]
+        if sizes[k] == capacity:
+            k = labels[i] = int(room[np.argmin(D[i, room])])
+        sizes[k] += 1
+        if sizes[k] == capacity:
+            room = room[room != k]
+    return np.array(labels, dtype=np.int64)
 
 
 def _wcss(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -174,11 +204,13 @@ def fit_balanced_kmeans(
     history: list[float] = []
     for _ in range(max_iters):
         new_labels = _balanced_assign(_sq_distances(X, centroids), capacity)
+        # each cluster's rows in index order, as a boolean mask would take them
+        members = np.split(np.argsort(new_labels, kind="stable"),
+                           np.cumsum(np.bincount(new_labels, minlength=K))[:-1])
         new_centroids = centroids.copy()
-        for k in range(K):
-            members = X[new_labels == k]
-            if len(members):
-                new_centroids[k] = members.mean(axis=0)
+        for k, rows in enumerate(members):
+            if len(rows):
+                new_centroids[k] = X[rows].mean(axis=0)
         wcss = _wcss(X, new_centroids, new_labels)
         # greedy assignment is not globally optimal, so keep the best state
         # seen and stop as soon as the objective fails to improve
@@ -264,7 +296,7 @@ def save_cluster_model(model: ClusterModel, path: str) -> None:
         "capacity": model.capacity,
         "centroids": model.centroids.ravel().tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(rec, fh, sort_keys=True)
         fh.write("\n")
 

@@ -291,6 +291,6 @@ def save_manifest(manifest: CorpusManifest, path: str) -> None:
         "lang": manifest.lang,
         "shards": manifest.shard_paths,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(rec, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")

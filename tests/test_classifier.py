@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -235,3 +236,20 @@ def test_classifier_file_roundtrip(tmp_path):
     path2 = str(tmp_path / "clf2.json")
     save_classifier(back, path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+def test_save_classifier_error_mid_dump_keeps_old_file(tmp_path, monkeypatch):
+    X, y = gaussian_examples(n=20, seed=7)
+    clf = train_logistic(X, y, TrainConfig(seed=1))
+    path = tmp_path / "clf.json"
+    path.write_text("old\n")
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"b": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        save_classifier(clf, str(path))
+    assert path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))

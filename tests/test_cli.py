@@ -435,6 +435,14 @@ BAD_CONFIGS = {
                                 "train.max_epochs"),
     "tau_not_a_number": ("filter", lambda c: c["filter"].update(tau="abc"), "filter.tau"),
     "workers_not_a_number": ("score", lambda c: c.update(workers="two"), "workers"),
+    "seed_a_fraction": ("score", lambda c: c.update(seed=1.5), "seed"),
+    "workers_a_fraction": ("score", lambda c: c.update(workers=2.7), "workers"),
+    "seed_a_bool": ("score", lambda c: c.update(seed=True), "seed"),
+    "tau_a_bool": ("filter", lambda c: c["filter"].update(tau=False), "filter.tau"),
+    "ngram_range_one_value": ("score", lambda c: c["embedding"].update(ngram_range=[2]),
+                              "embedding.ngram_range"),
+    "ngram_range_a_fraction": ("score", lambda c: c["embedding"].update(ngram_range=[2, 4.5]),
+                               "embedding.ngram_range[1]"),
     "embedding_not_a_mapping": ("score", lambda c: c.update(embedding=5), "embedding"),
     "train_not_a_mapping": ("train-filter", lambda c: c.update(train=["x"]), "train"),
     "plan_without_steps": (
@@ -459,6 +467,21 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, name):
     assert run(command, cfg_path) == 2
     assert f"config key {key}" in capsys.readouterr().err
     assert not os.path.exists(cfg["output_dir"])
+
+
+def test_integral_values_pass_int_keys():
+    for value in (3, 3.0, "3"):
+        cfg = check_config({"seed": value, "embedding": {"ngram_range": [value, 4.0]}})
+        assert cfg["seed"] == 3 and type(cfg["seed"]) is int
+        assert cfg["embedding"]["ngram_range"] == (3, 4)
+
+
+def test_ngram_range_message_gives_the_shape(tmp_path, capsys):
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    cfg["embedding"]["ngram_range"] = [2]
+    write_config(cfg_path, cfg)
+    assert run("score", cfg_path) == 2
+    assert "config key embedding.ngram_range must be a list of 2 int values" in capsys.readouterr().err
 
 
 def readme_config() -> str:
@@ -547,6 +570,7 @@ BAD_ANNOTATIONS = {
     "no_score": b'{"text": "t"}',
     "no_text": b'{"score": 3}',
     "text_not_a_string": b'{"text": 5, "score": 3}',
+    "lone_surrogate": b'{"text": "lone \\ud800", "score": 3}',
 }
 
 

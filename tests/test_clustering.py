@@ -1,13 +1,18 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusfilter.clustering import (
     _BLOCK_ROWS,
     ClusterHistogram,
     ClusterModel,
+    _balanced_assign,
+    _direct_sq_distances,
     _sq_distances,
     assign,
     assign_batch,
@@ -85,6 +90,30 @@ def criterion_07_inputs():
         yield X, 2, seed
 
 
+def k64_inputs():
+    """Unit rows around 16 topic centres, shaped like the perfbench
+    clusters_k64 fit set: 512 points, d=384, K=64."""
+    for seed in range(2):
+        rng = np.random.default_rng(100 + seed)
+        centers = rng.standard_normal((16, 384))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        X = centers[rng.integers(16, size=512)]
+        X += 0.6 * rng.standard_normal((512, 384)) / np.sqrt(384)
+        yield X / np.linalg.norm(X, axis=1, keepdims=True), 64, seed
+
+
+def tie_inputs():
+    """Integer-valued points, many of them repeated: exact distance ties
+    between points and centroids, and clusters that fill before their points
+    are placed. Power-of-two scales keep every distance exact in both forms."""
+    for seed in range(6):
+        rng = np.random.default_rng(200 + seed)
+        yield rng.integers(-2, 3, size=(90, 3)).astype(float), 7, seed
+        yield rng.integers(0, 2, size=(40, 2)).astype(float) * 10.0 ** (seed - 3), 5, seed
+        base = rng.integers(-4, 5, size=(9, 4)) * 2.0 ** (6 * seed - 15)
+        yield base[rng.integers(9, size=100)], 12, seed
+
+
 # ------------------------------------------------- fitting
 
 
@@ -143,12 +172,46 @@ def test_duplicates_allowed_capacity_enforced():
 
 
 def test_fit_equals_direct_form_reference():
-    for X, K, seed in criterion_07_inputs():
-        model = fit_balanced_kmeans(X, K=K, seed=seed)
-        labels, centroids, history = reference_fit(X, K, seed)
+    cases = [(X, K, seed, 50) for X, K, seed in criterion_07_inputs()]
+    cases += [(X, K, seed, iters) for X, K, seed in k64_inputs() for iters in (3, 50)]
+    cases += [(X, K, seed, 50) for X, K, seed in tie_inputs()]
+    for X, K, seed, iters in cases:
+        model = fit_balanced_kmeans(X, K=K, seed=seed, max_iters=iters)
+        labels, centroids, history = reference_fit(X, K, seed, max_iters=iters)
         assert np.array_equal(model.labels_, labels)
         assert np.array_equal(model.centroids, centroids)
         assert model.wcss_history_ == history
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_balanced_assign_takes_the_first_ranked_cluster_with_room(n, K, seed):
+    # small integer distances: many exact ties, and clusters that fill up
+    rng = np.random.default_rng(seed)
+    D = rng.integers(0, 4, size=(n, K)).astype(float)
+    capacity = math.ceil(n / K)
+    ranked = np.argsort(D, axis=1, kind="stable")
+    sizes = np.zeros(K, dtype=np.int64)
+    want = np.full(n, -1, dtype=np.int64)
+    for i in np.argsort(D.min(axis=1), kind="stable"):
+        want[i] = next(k for k in ranked[i] if sizes[k] < capacity)
+        sizes[want[i]] += 1
+    assert np.array_equal(_balanced_assign(D, capacity), want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2 * _BLOCK_ROWS + 3), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_direct_sq_distances_over_rows_equal_the_full_pass(n, d, seed):
+    # the seeding runs the direct form on a subset of the rows and must get
+    # the bits a full pass gives them, whichever blocks they fall in
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+    c = X[rng.integers(n)] + rng.normal(size=d)
+    rows = np.flatnonzero(rng.random(n) < rng.random())
+    full = _direct_sq_distances(X, c)
+    assert full.tobytes() == ((X - c) ** 2).sum(axis=1).tobytes()
+    assert _direct_sq_distances(X, c, rows).tobytes() == full[rows].tobytes()
+    assert _direct_sq_distances(X, c, np.arange(n)).tobytes() == full.tobytes()
 
 
 def test_fit_and_histogram_memory_is_linear():
@@ -355,3 +418,20 @@ def test_cluster_model_roundtrip(tmp_path):
     back = load_cluster_model(path)
     assert np.array_equal(back.centroids, model.centroids)
     assert back.K == 4 and back.capacity == model.capacity and back.seed == 13
+
+
+def test_save_cluster_model_error_mid_dump_keeps_old_file(tmp_path, monkeypatch):
+    X, _ = two_blobs(20, seed=13)
+    model = fit_balanced_kmeans(X, K=2, seed=13)
+    path = tmp_path / "model.json"
+    path.write_text("old\n")
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"K": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        save_cluster_model(model, str(path))
+    assert path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))

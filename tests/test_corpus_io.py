@@ -157,6 +157,21 @@ def test_manifest_roundtrip_and_sorted(tmp_path):
     assert load_manifest(p) == m
 
 
+def test_save_manifest_error_mid_dump_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_text("old\n")
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"corpus_name": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        save_manifest(CorpusManifest(corpus_name="c", lang="fr", shard_paths=["a"]), str(path))
+    assert path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_first_file_sampling(tmp_path):
     manifest = make_corpus(tmp_path, n_shards=5, docs_per_shard=20)
     docs = sample_documents(manifest, FirstFile(), max_docs=10)
