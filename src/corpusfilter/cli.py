@@ -228,27 +228,25 @@ def cmd_score(cfg: dict, stamp: dict) -> int:
     return 0
 
 
-def _strategy_from(th_cfg: dict, seed: int):
-    name = th_cfg.get("strategy", "first_file")
-    if name == "first_file":
-        return FirstFile()
-    if name == "random_files":
-        return RandomFiles(n=th_cfg.get("n_random", 10), seed=seed)
-    raise ConfigError(f"unknown sampling strategy {name!r}")
-
-
 def cmd_threshold(cfg: dict, stamp: dict) -> int:
     manifest = load_manifest(cfg["corpus"]["manifest"])
     clf = clf_mod.load_classifier(cfg["classifier"])
     pcfg = provider_config(cfg)
     th_cfg = cfg["threshold"]
     seed = cfg.get("seed", 0)
-    strategy = _strategy_from(th_cfg, seed)
-    max_docs = th_cfg.get("max_docs", 100_000)
+    first, rand = FirstFile(), RandomFiles(n=th_cfg.get("n_random", 10), seed=seed)
+    name = th_cfg.get("strategy", "first_file")
+    strategy = {"first_file": first, "random_files": rand}.get(name)
+    if strategy is None:
+        raise ConfigError(f"unknown sampling strategy {name!r}")
     percentiles = cfg.get("percentiles") or thresholds.PERCENTILE_PRESETS
-
-    estimates = thresholds.estimate_thresholds(
-        manifest, pcfg, clf, list(percentiles), strategy, max_docs
+    # the estimate's sample is one of the comparison's two, and is scored once
+    samples = [strategy, first, rand] if th_cfg.get("compare") else [strategy]
+    scores = thresholds.sample_scores(
+        manifest, pcfg, clf, samples, th_cfg.get("max_docs", 100_000)
+    )
+    estimates = thresholds.thresholds_from_scores(
+        scores[strategy], list(percentiles), strategy, manifest.corpus_name
     )
     report = {
         **stamp,
@@ -256,14 +254,8 @@ def cmd_threshold(cfg: dict, stamp: dict) -> int:
         "estimates": [vars(e) for e in estimates],
     }
     if th_cfg.get("compare"):
-        report["strategy_comparison"] = thresholds.compare_sampling_strategies(
-            manifest,
-            pcfg,
-            clf,
-            th_cfg.get("percentile", 90.0),
-            n_random=th_cfg.get("n_random", 10),
-            seed=seed,
-            max_docs=max_docs,
+        report["strategy_comparison"] = thresholds.compare_scores(
+            scores[first], scores[rand], th_cfg.get("percentile", 90.0)
         )
     out = os.path.join(_out_dir(cfg), "threshold_report.json")
     _write_report(out, report)
@@ -329,6 +321,8 @@ def cmd_clusters(cfg: dict, stamp: dict) -> int:
     pcfg = provider_config(cfg)
     fit_cfg = cl_cfg["fit"]
     K = cl_cfg.get("k", 64)
+    if K < 1:
+        raise ConfigError(f"config key clusters.k must be at least 1, not {K}")
     # read every dataset entry before the first artefact is written
     datasets = [(e["name"], e["manifest"], e.get("max_docs", 10_000))
                 for e in cl_cfg.get("datasets", ())]

@@ -36,6 +36,7 @@ import numpy as np
 
 from .corpus_io import atomic_write
 from .errors import (
+    ClusterCountError,
     DimensionMismatchError,
     EmptyDatasetError,
     EmptyHistogramError,
@@ -191,6 +192,8 @@ def _wcss(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
 def fit_balanced_kmeans(
     points, K: int, seed: int = 0, max_iters: int = 50
 ) -> ClusterModel:
+    if K < 1:
+        raise ClusterCountError(f"K must be at least 1, not {K}")
     X = _as_matrix(points)
     n, dim = X.shape
     if n < K:

@@ -5,16 +5,18 @@ client for a remote multilingual sentence encoder, and a deterministic
 local featurizer that hashes character n-grams with signs. The hashed
 featurizer doubles as the feature extractor for the fasttext-style
 baseline classifier.
+
+Only the remote provider needs the HTTP stack, so `requests` is imported
+where that provider is built and used, not with this module.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import requests
 
 from .errors import (
     ConfigError,
@@ -24,6 +26,9 @@ from .errors import (
     ZeroVectorError,
 )
 from .kernels import hashed_ngram_counts, hashed_ngram_matrix
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_DIM = 384
 DEFAULT_TRUNCATE_CHARS = 2048
@@ -117,10 +122,14 @@ class RemoteProvider:
     """
 
     def __init__(self, config: EmbeddingProviderConfig, session: requests.Session | None = None):
+        import requests
+
         self.config = config
         self.session = session or requests.Session()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        import requests
+
         cfg = self.config
         if not texts:
             raise EmptyInputError("embed_batch called with no texts")

@@ -86,6 +86,10 @@ class EmptyHistogramError(DataError):
     pass
 
 
+class ClusterCountError(ConfigError):
+    pass
+
+
 # planner
 class MissingLanguageBudgetError(ConfigError):
     pass

@@ -24,6 +24,7 @@ from .corpus_io import (
     CorpusManifest,
     FirstFile,
     RandomFiles,
+    atomic_write,
     parse_json_line,
     read_shard,
     sample_documents,
@@ -96,7 +97,8 @@ def score_corpus(
 
     Shards are scored independently (optionally in parallel) and fragments
     merged in manifest order, so the output is deterministic for any
-    worker count.
+    worker count. The file is written atomically: an error leaves the
+    previous one in place.
     """
     if provider_config.dim != clf.dim:
         raise DimensionMismatchError(
@@ -111,7 +113,7 @@ def score_corpus(
         fragments = [_score_shard(p, provider, clf) for p in paths]
 
     count = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         for fragment in fragments:
             for rec in fragment:
                 fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True))
@@ -230,10 +232,47 @@ def apply_filter(
     )
 
 
-def _sample_scores(manifest, provider, clf, strategy, max_docs) -> np.ndarray:
-    docs = sample_documents(manifest, strategy, max_docs=max_docs)
-    X = embed_texts(provider, [d.text for d in docs])
-    return clf_mod.score_batch(clf, X)
+def sample_scores(
+    manifest: CorpusManifest,
+    provider_config: EmbeddingProviderConfig,
+    clf: clf_mod.LinearClassifier,
+    strategies: list[FirstFile | RandomFiles],
+    max_docs: int = 100_000,
+) -> dict[FirstFile | RandomFiles, np.ndarray]:
+    """The classifier scores of each strategy's sample, keyed by strategy.
+    Equal strategies draw the same sample, so each distinct one is embedded
+    and scored once, in the order given."""
+    provider = get_provider(provider_config)
+    scores = {}
+    for strategy in strategies:
+        if strategy not in scores:
+            docs = sample_documents(manifest, strategy, max_docs=max_docs)
+            X = embed_texts(provider, [d.text for d in docs])
+            scores[strategy] = clf_mod.score_batch(clf, X)
+    return scores
+
+
+def thresholds_from_scores(
+    scores: np.ndarray,
+    percentiles: list[float],
+    strategy: FirstFile | RandomFiles,
+    corpus_name: str,
+) -> list[ThresholdEstimate]:
+    """One estimate per percentile of the scores of `strategy`'s sample."""
+    if isinstance(strategy, FirstFile):
+        strat = "first_file"
+    else:
+        strat = f"random_files({strategy.n},{strategy.seed})"
+    return [
+        ThresholdEstimate(
+            percentile=percentile,
+            tau=estimate_percentile_threshold(scores, percentile),
+            sample_size=int(scores.size),
+            strategy=strat,
+            corpus_name=corpus_name,
+        )
+        for percentile in percentiles
+    ]
 
 
 def estimate_thresholds(
@@ -245,22 +284,8 @@ def estimate_thresholds(
     max_docs: int = 100_000,
 ) -> list[ThresholdEstimate]:
     """One estimate per percentile, all from one scored sample."""
-    provider = get_provider(provider_config)
-    scores = _sample_scores(manifest, provider, clf, strategy, max_docs)
-    if isinstance(strategy, FirstFile):
-        strat = "first_file"
-    else:
-        strat = f"random_files({strategy.n},{strategy.seed})"
-    return [
-        ThresholdEstimate(
-            percentile=percentile,
-            tau=estimate_percentile_threshold(scores, percentile),
-            sample_size=int(scores.size),
-            strategy=strat,
-            corpus_name=manifest.corpus_name,
-        )
-        for percentile in percentiles
-    ]
+    scores = sample_scores(manifest, provider_config, clf, [strategy], max_docs)[strategy]
+    return thresholds_from_scores(scores, percentiles, strategy, manifest.corpus_name)
 
 
 def estimate_threshold(
@@ -274,6 +299,24 @@ def estimate_threshold(
     return estimate_thresholds(
         manifest, provider_config, clf, [percentile], strategy, max_docs
     )[0]
+
+
+def compare_scores(
+    s_first: np.ndarray, s_random: np.ndarray, percentile: float, flag_rel_diff: float = 0.1
+) -> dict:
+    """The first-file and random-files thresholds at `percentile`, from the
+    scores of the two samples, and whether they differ by more than
+    `flag_rel_diff` of the larger."""
+    tau_first = estimate_percentile_threshold(s_first, percentile)
+    tau_random = estimate_percentile_threshold(s_random, percentile)
+    denom = max(tau_first, tau_random)
+    rel_diff = abs(tau_first - tau_random) / denom if denom > 0 else 0.0
+    return {
+        "tau_first": tau_first,
+        "tau_random": tau_random,
+        "rel_diff": rel_diff,
+        "flagged": rel_diff > flag_rel_diff,
+    }
 
 
 def compare_sampling_strategies(
@@ -291,16 +334,6 @@ def compare_sampling_strategies(
     A large relative difference means the first shard is not representative
     of the corpus and first-file thresholding should not be trusted.
     """
-    provider = get_provider(provider_config)
-    s_first = _sample_scores(manifest, provider, clf, FirstFile(), max_docs)
-    s_random = _sample_scores(manifest, provider, clf, RandomFiles(n_random, seed), max_docs)
-    tau_first = estimate_percentile_threshold(s_first, percentile)
-    tau_random = estimate_percentile_threshold(s_random, percentile)
-    denom = max(tau_first, tau_random)
-    rel_diff = abs(tau_first - tau_random) / denom if denom > 0 else 0.0
-    return {
-        "tau_first": tau_first,
-        "tau_random": tau_random,
-        "rel_diff": rel_diff,
-        "flagged": rel_diff > flag_rel_diff,
-    }
+    first, rand = FirstFile(), RandomFiles(n_random, seed)
+    scores = sample_scores(manifest, provider_config, clf, [first, rand], max_docs)
+    return compare_scores(scores[first], scores[rand], percentile, flag_rel_diff)

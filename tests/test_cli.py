@@ -9,10 +9,13 @@ import yaml
 import corpusfilter
 
 from corpusfilter import cli
+from corpusfilter.classifier import load_classifier
 from corpusfilter.cli import _write_report, check_config, load_config, main
 from corpusfilter.corpus_io import CorpusManifest, read_shard, save_manifest, write_shard
+from corpusfilter.embedding import HashedNgramProvider
+from corpusfilter.thresholds import compare_sampling_strategies
 
-from conftest import make_corpus, make_docs
+from conftest import hashed_config, make_corpus, make_docs
 from test_embedding import MockEmbedHandler, mock_server  # noqa: F401
 
 
@@ -172,12 +175,51 @@ def test_bad_remote_body_exits_4(tmp_path, mock_server, mode, capsys):
     assert f"{mock_server}/embed" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy():
-    # scipy.stats alone took over a second of every command's start-up
+# each of these slowed every command's start-up: scipy.stats by over a
+# second, requests and the HTTP stack it loads by about 0.1 s
+COLD_START_UNUSED = ("scipy", "requests", "urllib3", "ssl", "http.client")
+
+
+def test_cli_leaves_out_scipy_and_the_http_stack(tmp_path):
+    # a fresh interpreter, because the remote tests load requests into this one
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=20)
     src = os.path.dirname(os.path.dirname(corpusfilter.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import corpusfilter.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        f"    return [m for m in {COLD_START_UNUSED!r} if m in sys.modules]\n"
+        "from corpusfilter import cli\n"
+        "assert not loaded(), loaded()\n"
+        "for cmd in ('train-filter', 'score', 'threshold', 'filter'):\n"
+        f"    assert cli.main([cmd, '-c', {cfg_path!r}]) == 0\n"
+        "assert not loaded(), loaded()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert os.listdir(cfg["filter"]["out_dir"])
+
+
+@pytest.mark.parametrize("strategy", ["first_file", "random_files"])
+def test_threshold_compare_embeds_each_sample_once(tmp_path, monkeypatch, strategy):
+    cfg, cfg_path, manifest = build_workspace(tmp_path, n_shards=3, docs_per_shard=20)
+    assert run("train-filter", cfg_path) == 0
+    cfg["threshold"] = {"strategy": strategy, "n_random": 2, "compare": True, "percentile": 60}
+    write_config(cfg_path, cfg)
+    embedded = []
+    embed = HashedNgramProvider.embed_batch
+    monkeypatch.setattr(HashedNgramProvider, "embed_batch",
+                        lambda self, texts: embedded.append(len(texts)) or embed(self, texts))
+    assert run("threshold", cfg_path) == 0
+    # the first shard (20 documents) and two random shards (40), once each
+    assert sum(embedded) == 20 + 40
+    report = json.load(open(os.path.join(cfg["output_dir"], "threshold_report.json")))
+    assert report["estimates"][0]["sample_size"] == (20 if strategy == "first_file" else 40)
+    clf = load_classifier(cfg["classifier"])
+    assert report["strategy_comparison"] == compare_sampling_strategies(
+        manifest, hashed_config(), clf, 60, n_random=2, seed=0
+    )
 
 
 def test_score_and_reports_are_reproducible(tmp_path):
@@ -455,18 +497,30 @@ BAD_CONFIGS = {
         lambda c: c.update(clusters={"k": 2, "fit": {"manifest": c["corpus"]["manifest"]},
                                      "datasets": [{"name": "a"}]}),
         "clusters.datasets[0].manifest"),
+    "clusters_k_zero": (
+        "clusters",
+        lambda c: c.update(clusters={"k": 0, "fit": {"manifest": c["corpus"]["manifest"]}}),
+        "clusters.k must be at least 1, not 0"),
+    "clusters_k_negative": (
+        "clusters",
+        lambda c: c.update(clusters={"k": -2, "fit": {"manifest": c["corpus"]["manifest"]}}),
+        "clusters.k must be at least 1, not -2"),
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_CONFIGS))
-def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, name):
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, name):
     command, edit, key = BAD_CONFIGS[name]
     cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
     edit(cfg)
     write_config(cfg_path, cfg)
+    embedded = []
+    monkeypatch.setattr(HashedNgramProvider, "embed_batch",
+                        lambda self, texts: embedded.append(len(texts)))
     assert run(command, cfg_path) == 2
     assert f"config key {key}" in capsys.readouterr().err
     assert not os.path.exists(cfg["output_dir"])
+    assert embedded == []  # the config is checked before any work
 
 
 def test_integral_values_pass_int_keys():

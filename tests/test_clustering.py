@@ -23,6 +23,8 @@ from corpusfilter.clustering import (
     save_cluster_model,
 )
 from corpusfilter.errors import (
+    ClusterCountError,
+    ConfigError,
     DimensionMismatchError,
     EmptyDatasetError,
     EmptyHistogramError,
@@ -231,6 +233,14 @@ def test_fit_and_histogram_memory_is_linear():
 def test_too_few_points():
     with pytest.raises(TooFewPointsError):
         fit_balanced_kmeans(np.zeros((3, 2)), K=5, seed=0)
+
+
+@pytest.mark.parametrize("K", [0, -2])
+def test_k_below_one_is_a_config_error(K):
+    X, _ = two_blobs(20, seed=3)
+    with pytest.raises(ClusterCountError, match=f"K must be at least 1, not {K}"):
+        fit_balanced_kmeans(X, K=K, seed=0)
+    assert issubclass(ClusterCountError, ConfigError)
 
 
 def test_fit_deterministic():

@@ -1,3 +1,4 @@
+import json
 import os
 import tracemalloc
 
@@ -191,6 +192,31 @@ def test_apply_filter_preserves_order(tmp_path, seed_classifier):
         kept = [d.id for d in read_shard(os.path.join(out_dir, os.path.basename(path)))]
         expected = [i for i in original if scores[i] > tau]
         assert kept == expected
+
+
+def test_score_write_error_keeps_the_old_scores(tmp_path, seed_classifier, monkeypatch):
+    clf, _, _ = seed_classifier
+    manifest = make_corpus(tmp_path, n_shards=2, docs_per_shard=5)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    path = out_dir / "scores.jsonl"
+    assert score_corpus(manifest, hashed_config(), clf, str(path)) == 10
+    before = path.read_bytes()
+    dumps = json.dumps
+    calls = []
+
+    def dumps_then_fail(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) > 1:
+            raise OSError("disk full")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+    with pytest.raises(OSError):
+        score_corpus(manifest, hashed_config(), clf, str(path))
+    assert len(calls) == 2  # the first record was written, the second failed
+    assert path.read_bytes() == before
+    assert os.listdir(out_dir) == ["scores.jsonl"]
 
 
 # ------------------------------------------------- sampling strategies
