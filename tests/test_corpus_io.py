@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from corpusfilter.corpus_io import (
     write_shard,
 )
 from corpusfilter.errors import DataError, EmptyCorpusError
+from corpusfilter.thresholds import _read_score_records
 
 from conftest import make_corpus, make_docs
 
@@ -85,6 +87,59 @@ def test_invalid_utf8_line_is_malformed(tmp_path):
 def test_meta_that_is_not_an_object_is_malformed(tmp_path, meta):
     line = b'{"id":"x2","text":"text","lang":"en","source":"s","meta":' + meta + b"}"
     assert "meta" in read_around(tmp_path, line)
+
+
+def doc_line(n: int) -> bytes:
+    return b'{"id":"x%d","text":"hello there","lang":"en","source":"s"}' % n
+
+
+@pytest.mark.parametrize("suffix", ["jsonl", "jsonl.gz"])
+@pytest.mark.parametrize(
+    "line, outcome",
+    [
+        (b"", None),
+        (b"   ", None),
+        (b"\t", None),
+        (b"\r", None),
+        (b"\x0c", None),
+        (" \t\r\x0b\x0c\x1c\xa0\u2028".encode(), None),  # str.isspace() throughout
+        (b" \t\r" + doc_line(2), "x2"),
+        (doc_line(2) + b"\r", "x2"),  # a CRLF line ending
+        (doc_line(2) + b" \t\r", "x2"),
+        (b"\x0c" + doc_line(2), "Expecting value: line 1 column 1 (char 0)"),
+        (doc_line(2) + b"\x0c", "Extra data: line 1 column 58 (char 57)"),
+        ("\ufeff".encode() + doc_line(2),
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("\ufeff".encode(), "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        # a cut line: the position is within the line, never at or past its ending
+        (b'{"id":"x2","text":', "Expecting value: line 1 column 19 (char 18)"),
+        (b'{"id":"x2","text":"cut', "Unterminated string starting at: line 1 column 19 (char 18)"),
+        (b'{"id":"x2","text":"cut\r', "Invalid control character at: line 1 column 23 (char 22)"),
+        (b'{"id":"x2","text":"","lang":"en","source":"s"}', "document 'x2': text empty after trim"),
+        (b'{"id":"x2","text":"\\u00a0\\t","lang":"en","source":"s"}',
+         "document 'x2': text empty after trim"),
+        (b'{"id":"","text":"t","lang":"en","source":"s"}', "document id must be non-empty"),
+        (b'{"id":5,"lang":"en","source":"s"}', "field 'id' is not a string"),
+        (b'{"id":"x2","lang":"en","source":"s"}', "missing field 'text'"),
+        (b'{"id":"x2","text":"t","lang":"en","source":null}', "field 'source' is not a string"),
+        (b'["x2"]', "record is not an object"),
+    ],
+)
+def test_shard_line_rules(tmp_path, suffix, line, outcome):
+    # line 2 is blank, line 3 is the case, the last line has no newline
+    lines = [doc_line(1) + b"\n", b"\n", line + b"\n", doc_line(4)]
+    path = str(tmp_path / f"a.{suffix}")
+    with (gzip.open if suffix.endswith(".gz") else open)(path, "wb") as fh:
+        fh.write(b"".join(lines))
+    stream = read_shard(path)
+    out = [(doc.id, stream.line) for doc in stream]
+    docs = [("x1", lines[0]), ("x4", lines[3])]
+    if outcome is None:
+        assert (out, stream.malformed) == (docs, [])
+    elif outcome == "x2":
+        assert (out, stream.malformed) == (docs[:1] + [("x2", lines[2])] + docs[1:], [])
+    else:
+        assert (out, stream.malformed) == (docs, [(3, outcome)])
 
 
 def test_empty_file(tmp_path):
@@ -238,5 +293,163 @@ def json_outcome(parse, line):
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=' \t\r\n\x0c{}[]":,.-+0123456789eEaNlu\\x', max_size=12))
-def test_parse_json_line_is_json_loads_on_fuzzed_lines(line):
+def test_parse_json_line_is_json_loads_on_fuzzed_lines(tmp_path_factory, line):
     assert json_outcome(parse_json_line, line) == json_outcome(json.loads, line)
+    check_readers_on(tmp_path_factory, line.encode())
+
+
+def check_readers_on(tmp_path_factory, line: bytes):
+    """read_shard and _read_score_records on `line` between two valid lines
+    agree with the references below, line numbers and reasons included."""
+    path = str(tmp_path_factory.getbasetemp() / "fuzzed.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(doc_line(1) + b"\n" + line + b"\n" + doc_line(9) + b"\n")
+    stream = read_shard(path)
+    assert (list(stream), stream.malformed) == reference_shard(path)
+    with open(path, "wb") as fh:
+        fh.write(score_line("a") + b"\n" + line + b"\n" + score_line("z") + b"\n")
+    assert score_records_or_error_line(path) == reference_score_records(path)
+
+
+def split_lines(path: str) -> list[bytes]:
+    """The lines of a file, each without its newline."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    return lines[:-1] if lines[-1] == b"" else lines
+
+
+def reference_shard(path: str):
+    """(documents, malformed) of a shard by the rules in corpus_io: a blank
+    line is skipped; any other line is a document only when it is UTF-8 and
+    JSON, an object with string id, text, lang and source, a meta that is an
+    object when given, every string encodable, and non-empty id, text after
+    trim and lang."""
+    docs, malformed = [], []
+    for line_no, raw in enumerate(split_lines(path), start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            docs.append(reference_document(json.loads(line)))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError and the checks
+            malformed.append((line_no, str(exc)))
+    return docs, malformed
+
+
+def reference_document(rec) -> Document:
+    if not isinstance(rec, dict):
+        raise ValueError("record is not an object")
+    for name in ("id", "text", "lang", "source"):
+        if name not in rec:
+            raise ValueError(f"missing field {name!r}")
+        if not isinstance(rec[name], str):
+            raise ValueError(f"field {name!r} is not a string")
+    meta = {} if rec.get("meta") is None else rec["meta"]
+    if not isinstance(meta, dict):
+        raise ValueError("field 'meta' is not an object")
+    for name, value in [(n, rec[n]) for n in ("id", "text", "lang", "source")] + [
+        ("meta", json.dumps(meta, ensure_ascii=False))
+    ]:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"field {name!r} is not valid Unicode: {exc.reason}") from None
+    if not rec["id"]:
+        raise ValueError("document id must be non-empty")
+    if not rec["text"].strip():
+        raise ValueError(f"document {rec['id']!r}: text empty after trim")
+    if not rec["lang"]:
+        raise ValueError(f"document {rec['id']!r}: lang must be non-empty")
+    return Document(rec["id"], rec["text"], rec["lang"], rec["source"], meta)
+
+
+def score_line(doc_id: str) -> bytes:
+    return json.dumps({"doc_id": doc_id, "score": 0.5, "shard": "s"}).encode()
+
+
+def score_records_or_error_line(path: str):
+    records = []
+    try:
+        for rec in _read_score_records(path):
+            records.append(rec)
+    except DataError as exc:
+        prefix = f"{path}:"
+        assert str(exc).startswith(prefix)
+        return records, int(str(exc)[len(prefix):].split(":")[0])
+    return records, None
+
+
+def reference_score_records(path: str):
+    """The records of a score file up to its first bad line, and that
+    line's number: a line of ASCII whitespace is skipped; any other line is
+    a record only when it is UTF-8 and JSON, an object with a string doc_id
+    and a score that is a number (not a bool) in [0, 1]."""
+    records = []
+    for line_no, raw in enumerate(split_lines(path), start=1):
+        try:
+            rec = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            if not raw.strip():
+                continue
+            return records, line_no
+        if not isinstance(rec, dict) or not isinstance(rec.get("doc_id"), str):
+            return records, line_no
+        score = rec.get("score")
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            return records, line_no
+        if not 0.0 <= score <= 1.0:
+            return records, line_no
+        records.append((rec["doc_id"], float(score), rec.get("shard")))
+    return records, None
+
+
+PADDING = st.sampled_from([""] * 8 + [" ", "\t", "\r", "\x0c", "\xa0", "\ufeff", "\n"])
+STRING = st.one_of(st.just("x"), st.text(alphabet=" \t\xa0x\u00e9\\\ud800", max_size=3))
+ODD_VALUE = st.sampled_from(
+    [None, True, 0, 1, 2, -1, 0.0, 0.5, 1.0, 1.5, float("nan"), "", [], {}, {"k": "\udfff"}]
+)
+MISSING = object()
+
+
+def fuzzed_record_line(fields: dict):
+    """A JSON object whose keys take their usual values (the strategies in
+    `fields`) most of the time, else an odd value or no value, padded with
+    whitespace. A lone surrogate either goes in as a \\u escape or makes
+    the line invalid UTF-8."""
+    values = {
+        key: st.one_of(usual, usual, usual, usual, ODD_VALUE, st.just(MISSING))
+        for key, usual in fields.items()
+    }
+    return st.builds(
+        lambda pre, rec, ascii_only, post: (
+            pre
+            + json.dumps({k: v for k, v in rec.items() if v is not MISSING}, ensure_ascii=ascii_only)
+            + post
+        ).encode("utf-8", "surrogatepass"),
+        PADDING,
+        st.fixed_dictionaries(values),
+        st.booleans(),
+        PADDING,
+    )
+
+
+DOCUMENT_FIELDS = {
+    "id": STRING,
+    "text": STRING,
+    "lang": STRING,
+    "source": STRING,
+    "meta": st.sampled_from([MISSING, None, {}, {"k": "v"}]),
+}
+SCORE_FIELDS = {"doc_id": STRING, "score": st.floats(0.0, 1.0), "shard": STRING}
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_record_line(DOCUMENT_FIELDS))
+def test_readers_match_the_references_on_fuzzed_documents(tmp_path_factory, line):
+    check_readers_on(tmp_path_factory, line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_record_line(SCORE_FIELDS))
+def test_readers_match_the_references_on_fuzzed_score_records(tmp_path_factory, line):
+    check_readers_on(tmp_path_factory, line)

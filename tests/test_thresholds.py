@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from corpusfilter.errors import (
     PercentileOutOfRangeError,
 )
 from corpusfilter.thresholds import (
+    _read_score_records,
     apply_filter,
     compare_sampling_strategies,
     estimate_percentile_threshold,
@@ -353,6 +355,36 @@ def test_filter_counts_malformed_lines(tmp_path):
     write_scores(scores_path, [{"doc_id": d.id, "score": 0.7, "shard": "x.jsonl"} for d in docs])
     stats = apply_filter(manifest, scores_path, 0.5, str(tmp_path / "out"))
     assert (stats.docs_in, stats.docs_out, stats.docs_malformed) == (2, 2, 1)
+
+
+def test_score_file_skips_blank_lines_and_accepts_leading_whitespace(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(
+        b"\n  \t\r\x0b\x0c\n"
+        b'{"doc_id": "a", "score": 0.25, "shard": "x"}\n'
+        b' \t\r{"doc_id": "b", "score": 1, "shard": "x"}\r\n'
+        b"\n"
+        b'{"doc_id": "c", "score": 0, "shard": "y"}'  # no newline at the end
+    )
+    records = list(_read_score_records(str(path)))
+    assert records == [("a", 0.25, "x"), ("b", 1.0, "x"), ("c", 0.0, "y")]
+    assert [type(r[1]) for r in records] == [float] * 3
+    assert load_scores(str(path)) == {"a": 0.25, "b": 1.0, "c": 0.0}
+
+
+@pytest.mark.parametrize("garbage", [b" x", b"{}", b",", b"\x0c", b"\x00"])
+def test_score_record_with_trailing_garbage_names_its_line(tmp_path, garbage):
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(
+        b'{"doc_id": "a", "score": 0.5, "shard": "x"}\n'
+        b"\n"
+        b'{"doc_id": "b", "score": 0.5, "shard": "x"}' + garbage + b"\n"
+        b'{"doc_id": "c", "score": 0.5, "shard": "x"}\n'
+    )
+    records = _read_score_records(str(path))
+    assert next(records) == ("a", 0.5, "x")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: score record is not a JSON object$"):
+        next(records)
 
 
 # ------------------------------------------------- the ordered filter pass
