@@ -4,6 +4,10 @@ Shards are JSONL files, one document per line, with fields `id`, `text`,
 `lang`, `source` and an optional `meta` object. A manifest lists the
 shards of one corpus; shard order is always lexicographic by path so that
 "first file" means the same thing on every platform.
+
+Readers take a file in blocks of whole lines (`fh.readlines(BLOCK_BYTES)`),
+so memory holds one block, whatever the length of a line. A shard reader
+still hands out each document with the raw bytes of its own line.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from .errors import DataError, EmptyCorpusError
 
 REQUIRED_FIELDS = ("id", "text", "lang", "source")
+# the buffer size of the files read and written here, and the size hint of
+# one `readlines` call: about this many bytes of whole lines
+BLOCK_BYTES = 1 << 16
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     id: str
     text: str
@@ -32,7 +39,7 @@ class Document:
     def validate(self) -> None:
         if not self.id:
             raise DataError("document id must be non-empty")
-        if not self.text or not self.text.strip():
+        if not self.text or self.text.isspace():  # as `not self.text.strip()`
             raise DataError(f"document {self.id!r}: text empty after trim")
         if not self.lang:
             raise DataError(f"document {self.id!r}: lang must be non-empty")
@@ -62,7 +69,7 @@ def atomic_write(path: str, mode: str = "w") -> Iterator[IO]:
     error removes it, so `path` never holds a partial write."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, BLOCK_BYTES, None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -98,7 +105,7 @@ def _require_utf8(name: str, value: str) -> None:
         raise ValueError(f"field {name!r} is not valid Unicode: {exc.reason}") from None
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def parse_json_line(line: str):
@@ -107,27 +114,41 @@ def parse_json_line(line: str):
     with a JSON value, or has more than whitespace after it, goes to
     `json.loads` for the same error."""
     try:
-        value, end = _raw_decode(line)
-    except ValueError:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
         return json.loads(line)
     if end != len(line) and line[end:].strip(" \t\n\r"):
         return json.loads(line)
     return value
 
 
-def _line_to_doc(line: str) -> Document:
-    rec = parse_json_line(line)
-    if not isinstance(rec, dict):
+def _line_to_doc(line: str) -> Document | None:
+    """The document on one shard line, its line ending included, or None
+    when the line is blank (`not line.strip()`). A malformed line raises
+    ValueError or DataError, whose message is the reason."""
+    try:
+        rec = parse_json_line(line)
+    except ValueError:
+        line = line.rstrip("\n")
+        if not line.strip():
+            return None
+        # raises again: the error's position is then never past the line's
+        # end, as when the line is read on its own
+        rec = parse_json_line(line)
+    if type(rec) is not dict:
         raise ValueError("record is not an object")
-    for name in REQUIRED_FIELDS:
-        if name not in rec:
-            raise ValueError(f"missing field {name!r}")
-        if not isinstance(rec[name], str):
-            raise ValueError(f"field {name!r} is not a string")
+    doc_id, text, lang, source = rec.get("id"), rec.get("text"), rec.get("lang"), rec.get("source")
+    if (type(doc_id) is not str or type(text) is not str
+            or type(lang) is not str or type(source) is not str):
+        for name in REQUIRED_FIELDS:
+            if name not in rec:
+                raise ValueError(f"missing field {name!r}")
+            if type(rec[name]) is not str:
+                raise ValueError(f"field {name!r} is not a string")
     meta = rec.get("meta")
     if meta is None:
         meta = {}
-    elif not isinstance(meta, dict):
+    elif type(meta) is not dict:
         raise ValueError("field 'meta' is not an object")
     # a lone surrogate, which no UTF-8 encoder (the n-gram kernel's, a shard
     # writer's) accepts, can only come from a \u escape in the line
@@ -136,13 +157,7 @@ def _line_to_doc(line: str) -> Document:
             _require_utf8(name, rec[name])
         if meta:
             _require_utf8("meta", json.dumps(meta, ensure_ascii=False))
-    doc = Document(
-        id=rec["id"],
-        text=rec["text"],
-        lang=rec["lang"],
-        source=rec["source"],
-        meta=meta,
-    )
+    doc = Document(doc_id, text, lang, source, meta)
     doc.validate()
     return doc
 
@@ -151,9 +166,10 @@ class ShardStream:
     """Iterator over the valid documents of one shard file.
 
     Malformed lines never interrupt the stream; after exhaustion they are
-    available (with line numbers and reasons) in `.malformed`. While a
-    document is out, `.line` holds the raw bytes of its line, line ending
-    included, so that a filter can copy it verbatim.
+    available (with line numbers and reasons) in `.malformed`. Blank lines
+    are skipped but counted in the line numbers. While a document is out,
+    `.line` holds the raw bytes of its line, line ending included, so that
+    a filter can copy it verbatim.
     """
 
     def __init__(self, path: str):
@@ -165,19 +181,23 @@ class ShardStream:
 
     def __iter__(self) -> Iterator[Document]:
         # bytes in, one decode per line, so that invalid UTF-8 costs only its line
-        opener = gzip.open if self.path.endswith(".gz") else open
-        with opener(self.path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8").rstrip("\n")
-                    if not line.strip():
+        if self.path.endswith(".gz"):
+            fh = gzip.open(self.path, "rb")
+        else:
+            fh = open(self.path, "rb", BLOCK_BYTES)
+        line_no = 0
+        with fh:
+            while block := fh.readlines(BLOCK_BYTES):
+                for raw in block:
+                    line_no += 1
+                    try:
+                        doc = _line_to_doc(raw.decode("utf-8"))
+                    except (ValueError, DataError) as exc:
+                        self.malformed.append(MalformedRecord(line_no, str(exc)))
                         continue
-                    doc = _line_to_doc(line)
-                except (ValueError, DataError) as exc:
-                    self.malformed.append(MalformedRecord(line_no, str(exc)))
-                    continue
-                self.line = raw
-                yield doc
+                    if doc is not None:
+                        self.line = raw
+                        yield doc
 
 
 def read_shard(path: str) -> ShardStream:

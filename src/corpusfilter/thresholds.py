@@ -13,7 +13,6 @@ import json
 import math
 import os
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import classifier as clf_mod
 from .corpus_io import (
+    BLOCK_BYTES,
     CorpusManifest,
     FirstFile,
     RandomFiles,
@@ -107,6 +107,8 @@ def score_corpus(
     provider = get_provider(provider_config)
     paths = manifest.shard_paths
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only here: ~10 ms to import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fragments = list(pool.map(lambda p: _score_shard(p, provider, clf), paths))
     else:
@@ -123,30 +125,34 @@ def score_corpus(
 
 
 def _read_score_records(path: str):
-    """Yield (doc_id, score, shard) per record of a score file. A record
-    that is not a JSON object, whose doc_id is not a string, or whose score
-    is not a number in [0, 1] is a DataError naming its line."""
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                rec = parse_json_line(raw.decode("utf-8"))
-            except ValueError:  # JSONDecodeError or UnicodeDecodeError
-                if not raw.strip():
-                    continue
-                rec = None
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{line_no}: score record is not a JSON object")
-            doc_id = rec.get("doc_id")
-            if not isinstance(doc_id, str):
-                raise DataError(f"{path}:{line_no}: doc_id {doc_id!r} is not a string")
-            score = rec.get("score")
-            # type(), not isinstance: a bool is an int
-            if type(score) not in (float, int) or not 0.0 <= score <= 1.0:
-                raise DataError(
-                    f"{path}:{line_no}: document {doc_id!r} has score {score!r}, "
-                    "not a number in [0, 1]"
-                )
-            yield doc_id, float(score), rec.get("shard")
+    """Yield (doc_id, score, shard) per record of a score file, skipping
+    lines of ASCII whitespace. A record that is not a JSON object, whose
+    doc_id is not a string, or whose score is not a number in [0, 1] is a
+    DataError naming its line."""
+    line_no = 0
+    with open(path, "rb", BLOCK_BYTES) as fh:
+        while block := fh.readlines(BLOCK_BYTES):
+            for raw in block:
+                line_no += 1
+                try:
+                    rec = parse_json_line(raw.decode("utf-8"))
+                except ValueError:  # JSONDecodeError or UnicodeDecodeError
+                    if not raw.strip():
+                        continue
+                    rec = None
+                if type(rec) is not dict:
+                    raise DataError(f"{path}:{line_no}: score record is not a JSON object")
+                doc_id = rec.get("doc_id")
+                if type(doc_id) is not str:
+                    raise DataError(f"{path}:{line_no}: doc_id {doc_id!r} is not a string")
+                score = rec.get("score")
+                # type(), not isinstance: a bool is an int
+                if type(score) not in (float, int) or not 0.0 <= score <= 1.0:
+                    raise DataError(
+                        f"{path}:{line_no}: document {doc_id!r} has score {score!r}, "
+                        "not a number in [0, 1]"
+                    )
+                yield doc_id, float(score), rec.get("shard")
 
 
 def load_scores(path: str) -> dict[str, float]:
@@ -175,6 +181,9 @@ def _unjoinable(scores_path: str, doc_id: str, shard_path: str) -> NoReturn:
     )
 
 
+_NO_RECORD = (None, 0.0, None)
+
+
 def apply_filter(
     manifest: CorpusManifest, scores_path: str, tau: float, out_dir: str
 ) -> FilterStats:
@@ -184,9 +193,10 @@ def apply_filter(
     score_corpus writes them, so each document takes the next record, and
     records left over after the last document are ignored. A kept
     document's line is copied byte for byte, and each shard is written
-    atomically. Memory holds one shard line and 16 bytes per document of
-    the current shard (score and id hash); all that grows with the corpus
-    is a sorted array of 8-byte id hashes, kept to catch an id that repeats.
+    atomically. Memory holds one block of lines (`BLOCK_BYTES`) from the
+    shard and one from the score file, and 16 bytes per document of the
+    current shard (score and id hash); all that grows with the corpus is a
+    sorted array of 8-byte id hashes, kept to catch an id that repeats.
     """
     os.makedirs(out_dir, exist_ok=True)
     records = _read_score_records(scores_path)
@@ -199,16 +209,18 @@ def apply_filter(
         shard_scores = array("d")
         shard_hashes = array("q")
         stream = read_shard(path)
+        add_score, add_hash = shard_scores.append, shard_hashes.append
         with shard_writer(os.path.join(out_dir, os.path.basename(path))) as out:
+            write = out.write
             for doc in stream:
-                rec = next(records, None)
-                if rec is None or rec[0] != doc.id:
+                doc_id, score, _ = next(records, _NO_RECORD)
+                if doc_id != doc.id:
                     _unjoinable(scores_path, doc.id, path)
-                shard_scores.append(rec[1])
-                shard_hashes.append(hash(doc.id))
-                if rec[1] > tau:
+                add_score(score)
+                add_hash(hash(doc_id))
+                if score > tau:
                     line = stream.line
-                    out.write(line if line.endswith(b"\n") else line + b"\n")
+                    write(line if line.endswith(b"\n") else line + b"\n")
                     docs_out += 1
             seen = np.concatenate([seen, np.asarray(shard_hashes)])
             seen.sort(kind="stable")  # a merge of two runs

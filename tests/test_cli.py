@@ -177,7 +177,7 @@ def test_bad_remote_body_exits_4(tmp_path, mock_server, mode, capsys):
 
 # each of these slowed every command's start-up: scipy.stats by over a
 # second, requests and the HTTP stack it loads by about 0.1 s
-COLD_START_UNUSED = ("scipy", "requests", "urllib3", "ssl", "http.client")
+COLD_START_UNUSED = ("scipy", "requests", "urllib3", "ssl", "http.client", "concurrent.futures")
 
 
 def test_cli_leaves_out_scipy_and_the_http_stack(tmp_path):

@@ -110,12 +110,14 @@ def doc_line(n: int) -> bytes:
         (doc_line(2) + b"\x0c", "Extra data: line 1 column 58 (char 57)"),
         ("\ufeff".encode() + doc_line(2),
          "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
-        ("\ufeff".encode(), "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("\ufeff".encode(),
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
         # a cut line: the position is within the line, never at or past its ending
         (b'{"id":"x2","text":', "Expecting value: line 1 column 19 (char 18)"),
         (b'{"id":"x2","text":"cut', "Unterminated string starting at: line 1 column 19 (char 18)"),
         (b'{"id":"x2","text":"cut\r', "Invalid control character at: line 1 column 23 (char 22)"),
-        (b'{"id":"x2","text":"","lang":"en","source":"s"}', "document 'x2': text empty after trim"),
+        (b'{"id":"x2","text":"","lang":"en","source":"s"}',
+         "document 'x2': text empty after trim"),
         (b'{"id":"x2","text":"\\u00a0\\t","lang":"en","source":"s"}',
          "document 'x2': text empty after trim"),
         (b'{"id":"","text":"t","lang":"en","source":"s"}', "document id must be non-empty"),
@@ -406,7 +408,8 @@ def reference_score_records(path: str):
 PADDING = st.sampled_from([""] * 8 + [" ", "\t", "\r", "\x0c", "\xa0", "\ufeff", "\n"])
 STRING = st.one_of(st.just("x"), st.text(alphabet=" \t\xa0x\u00e9\\\ud800", max_size=3))
 ODD_VALUE = st.sampled_from(
-    [None, True, 0, 1, 2, -1, 0.0, 0.5, 1.0, 1.5, float("nan"), "", [], {}, {"k": "\udfff"}]
+    [None, True, 0, 1, 2, -1, 10**400, 0.0, 0.5, 1.0, 1.5, float("nan"), "", [], {},
+     {"k": "\udfff"}]
 )
 MISSING = object()
 
@@ -423,7 +426,8 @@ def fuzzed_record_line(fields: dict):
     return st.builds(
         lambda pre, rec, ascii_only, post: (
             pre
-            + json.dumps({k: v for k, v in rec.items() if v is not MISSING}, ensure_ascii=ascii_only)
+            + json.dumps({k: v for k, v in rec.items() if v is not MISSING},
+                         ensure_ascii=ascii_only)
             + post
         ).encode("utf-8", "surrogatepass"),
         PADDING,
@@ -440,7 +444,13 @@ DOCUMENT_FIELDS = {
     "source": STRING,
     "meta": st.sampled_from([MISSING, None, {}, {"k": "v"}]),
 }
-SCORE_FIELDS = {"doc_id": STRING, "score": st.floats(0.0, 1.0), "shard": STRING}
+SCORE_FIELDS = {
+    "doc_id": STRING,
+    "score": st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([0, 1, True, False, -1e-300, 1.0000001, 10**400])
+    ),
+    "shard": STRING,
+}
 
 
 @settings(max_examples=300, deadline=None)

@@ -383,7 +383,8 @@ def test_score_record_with_trailing_garbage_names_its_line(tmp_path, garbage):
     )
     records = _read_score_records(str(path))
     assert next(records) == ("a", 0.5, "x")
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: score record is not a JSON object$"):
+    message = f"{path}:3: score record is not a JSON object"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         next(records)
 
 
