@@ -5,15 +5,17 @@ Shards are JSONL files, one document per line, with fields `id`, `text`,
 shards of one corpus; shard order is always lexicographic by path so that
 "first file" means the same thing on every platform.
 
-Readers take a file in blocks of whole lines (`fh.readlines(BLOCK_BYTES)`),
-so memory holds one block, whatever the length of a line. A shard reader
-still hands out each document with the raw bytes of its own line.
+Readers take a file in blocks of whole lines, about `BLOCK_BYTES` each (one
+`readlines` call), so memory holds one block, or one line where a line is
+longer. A shard reader still hands out each document with the raw bytes of
+its own line (`ShardStream.line`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import gzip
+import itertools
 import json
 import os
 import random
@@ -23,9 +25,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from .errors import DataError, EmptyCorpusError
 
 REQUIRED_FIELDS = ("id", "text", "lang", "source")
-# the buffer size of the files read and written here, and the size hint of
-# one `readlines` call: about this many bytes of whole lines
-BLOCK_BYTES = 1 << 16
+BLOCK_BYTES = 1 << 16  # file buffer size, and the size hint of one `readlines` call
 
 
 @dataclass(slots=True)
@@ -132,19 +132,13 @@ def _line_to_doc(line: str) -> Document | None:
         line = line.rstrip("\n")
         if not line.strip():
             return None
-        # raises again: the error's position is then never past the line's
-        # end, as when the line is read on its own
-        rec = parse_json_line(line)
+        rec = parse_json_line(line)  # raises again, at a position within the line
     if type(rec) is not dict:
         raise ValueError("record is not an object")
-    doc_id, text, lang, source = rec.get("id"), rec.get("text"), rec.get("lang"), rec.get("source")
-    if (type(doc_id) is not str or type(text) is not str
-            or type(lang) is not str or type(source) is not str):
-        for name in REQUIRED_FIELDS:
-            if name not in rec:
-                raise ValueError(f"missing field {name!r}")
-            if type(rec[name]) is not str:
-                raise ValueError(f"field {name!r} is not a string")
+    for name in REQUIRED_FIELDS:
+        if type(rec.get(name)) is not str:
+            raise ValueError(f"field {name!r} is not a string" if name in rec
+                             else f"missing field {name!r}")
     meta = rec.get("meta")
     if meta is None:
         meta = {}
@@ -157,7 +151,7 @@ def _line_to_doc(line: str) -> Document | None:
             _require_utf8(name, rec[name])
         if meta:
             _require_utf8("meta", json.dumps(meta, ensure_ascii=False))
-    doc = Document(doc_id, text, lang, source, meta)
+    doc = Document(rec["id"], rec["text"], rec["lang"], rec["source"], meta)
     doc.validate()
     return doc
 
@@ -181,15 +175,11 @@ class ShardStream:
 
     def __iter__(self) -> Iterator[Document]:
         # bytes in, one decode per line, so that invalid UTF-8 costs only its line
-        if self.path.endswith(".gz"):
-            fh = gzip.open(self.path, "rb")
-        else:
-            fh = open(self.path, "rb", BLOCK_BYTES)
+        gz = self.path.endswith(".gz")
         line_no = 0
-        with fh:
+        with gzip.open(self.path, "rb") if gz else open(self.path, "rb", BLOCK_BYTES) as fh:
             while block := fh.readlines(BLOCK_BYTES):
-                for raw in block:
-                    line_no += 1
+                for line_no, raw in enumerate(block, line_no + 1):
                     try:
                         doc = _line_to_doc(raw.decode("utf-8"))
                     except (ValueError, DataError) as exc:
@@ -244,11 +234,7 @@ def sample_documents(
     if max_docs <= 0:
         raise DataError("max_docs must be positive")
     if isinstance(strategy, FirstFile):
-        docs: list[Document] = []
-        for doc in read_shard(manifest.shard_paths[0]):
-            docs.append(doc)
-            if len(docs) >= max_docs:
-                break
+        docs = list(itertools.islice(read_shard(manifest.shard_paths[0]), max_docs))
         if not docs:
             raise EmptyCorpusError(f"no documents in {manifest.shard_paths[0]}")
         return docs
@@ -259,19 +245,12 @@ def sample_documents(
         )
     rng = random.Random(strategy.seed)
     chosen = sorted(rng.sample(manifest.shard_paths, strategy.n))
-    iters = [iter(read_shard(p)) for p in chosen]
+    # one document from each open shard in turn: itertools' roundrobin recipe
+    streams = (iter(read_shard(p)) for p in chosen)
     docs = []
-    while iters and len(docs) < max_docs:
-        still_open = []
-        for it in iters:
-            try:
-                docs.append(next(it))
-            except StopIteration:
-                continue
-            still_open.append(it)
-            if len(docs) >= max_docs:
-                break
-        iters = still_open
+    for n_open in range(len(chosen), 0, -1):
+        streams = itertools.cycle(itertools.islice(streams, n_open))
+        docs += itertools.islice(map(next, streams), max_docs - len(docs))
     if not docs:
         raise EmptyCorpusError(f"no documents in sampled shards of {manifest.corpus_name}")
     return docs

@@ -108,7 +108,6 @@ def score_corpus(
     paths = manifest.shard_paths
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # only here: ~10 ms to import
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fragments = list(pool.map(lambda p: _score_shard(p, provider, clf), paths))
     else:
@@ -132,8 +131,7 @@ def _read_score_records(path: str):
     line_no = 0
     with open(path, "rb", BLOCK_BYTES) as fh:
         while block := fh.readlines(BLOCK_BYTES):
-            for raw in block:
-                line_no += 1
+            for line_no, raw in enumerate(block, line_no + 1):
                 try:
                     rec = parse_json_line(raw.decode("utf-8"))
                 except ValueError:  # JSONDecodeError or UnicodeDecodeError
@@ -181,9 +179,6 @@ def _unjoinable(scores_path: str, doc_id: str, shard_path: str) -> NoReturn:
     )
 
 
-_NO_RECORD = (None, 0.0, None)
-
-
 def apply_filter(
     manifest: CorpusManifest, scores_path: str, tau: float, out_dir: str
 ) -> FilterStats:
@@ -213,7 +208,7 @@ def apply_filter(
         with shard_writer(os.path.join(out_dir, os.path.basename(path))) as out:
             write = out.write
             for doc in stream:
-                doc_id, score, _ = next(records, _NO_RECORD)
+                doc_id, score, _ = next(records, (None, None, None))
                 if doc_id != doc.id:
                     _unjoinable(scores_path, doc.id, path)
                 add_score(score)
@@ -233,15 +228,9 @@ def apply_filter(
         hist += np.bincount(np.minimum(bins, HISTOGRAM_BINS - 1), minlength=HISTOGRAM_BINS)
         docs_in += len(shard_scores)
         docs_malformed += len(stream.malformed)
-    retention = docs_out / docs_in if docs_in else 0.0
-    return FilterStats(
-        docs_in=docs_in,
-        docs_out=docs_out,
-        docs_malformed=docs_malformed,
-        retention=retention,
-        score_histogram=hist.tolist(),
-        tau=tau,
-    )
+    return FilterStats(docs_in=docs_in, docs_out=docs_out, docs_malformed=docs_malformed,
+                       retention=docs_out / docs_in if docs_in else 0.0,
+                       score_histogram=hist.tolist(), tau=tau)
 
 
 def sample_scores(

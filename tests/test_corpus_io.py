@@ -256,6 +256,18 @@ def test_random_files_all_shards(tmp_path):
     assert len(shards_touched) == 10
 
 
+def test_random_files_take_one_document_per_open_shard_in_turn(tmp_path):
+    paths = []
+    for name, n in (("a", 1), ("b", 4), ("c", 2)):
+        paths.append(str(tmp_path / f"{name}.jsonl"))
+        write_shard(paths[-1], [Document(f"{name}{i}", "t", "en", "s") for i in range(n)])
+    manifest = CorpusManifest(corpus_name="c", lang="en", shard_paths=paths)
+    order = ["a0", "b0", "c0", "b1", "c1", "b2", "b3"]
+    for max_docs in range(1, 9):
+        docs = sample_documents(manifest, RandomFiles(3, seed=0), max_docs=max_docs)
+        assert [d.id for d in docs] == order[:max_docs]
+
+
 def test_random_files_n_too_large(tmp_path):
     manifest = make_corpus(tmp_path, n_shards=3, docs_per_shard=5)
     with pytest.raises(DataError):
