@@ -5,10 +5,9 @@ Shards are JSONL files, one document per line, with fields `id`, `text`,
 shards of one corpus; shard order is always lexicographic by path so that
 "first file" means the same thing on every platform.
 
-Readers take a file in blocks of whole lines, about `BLOCK_BYTES` each (one
-`readlines` call), so memory holds one block, or one line where a line is
-longer. A shard reader still hands out each document with the raw bytes of
-its own line (`ShardStream.line`).
+Readers take a file in blocks of whole lines of about `BLOCK_BYTES`, so
+memory holds one block (or one longer line). A shard reader still hands
+out each document with the raw bytes of its line (`ShardStream.line`).
 """
 
 from __future__ import annotations
@@ -234,25 +233,21 @@ def sample_documents(
     if max_docs <= 0:
         raise DataError("max_docs must be positive")
     if isinstance(strategy, FirstFile):
-        docs = list(itertools.islice(read_shard(manifest.shard_paths[0]), max_docs))
-        if not docs:
-            raise EmptyCorpusError(f"no documents in {manifest.shard_paths[0]}")
-        return docs
-
-    if strategy.n > len(manifest.shard_paths):
+        chosen = manifest.shard_paths[:1]
+    elif strategy.n > len(manifest.shard_paths):
         raise DataError(
             f"random_files n={strategy.n} exceeds shard count {len(manifest.shard_paths)}"
         )
-    rng = random.Random(strategy.seed)
-    chosen = sorted(rng.sample(manifest.shard_paths, strategy.n))
+    else:
+        chosen = sorted(random.Random(strategy.seed).sample(manifest.shard_paths, strategy.n))
     # one document from each open shard in turn: itertools' roundrobin recipe
     streams = (iter(read_shard(p)) for p in chosen)
-    docs = []
+    docs: list[Document] = []
     for n_open in range(len(chosen), 0, -1):
         streams = itertools.cycle(itertools.islice(streams, n_open))
         docs += itertools.islice(map(next, streams), max_docs - len(docs))
     if not docs:
-        raise EmptyCorpusError(f"no documents in sampled shards of {manifest.corpus_name}")
+        raise EmptyCorpusError(f"no documents in {', '.join(chosen)}")
     return docs
 
 

@@ -188,10 +188,9 @@ def apply_filter(
     score_corpus writes them, so each document takes the next record, and
     records left over after the last document are ignored. A kept
     document's line is copied byte for byte, and each shard is written
-    atomically. Memory holds one block of lines (`BLOCK_BYTES`) from the
-    shard and one from the score file, and 16 bytes per document of the
-    current shard (score and id hash); all that grows with the corpus is a
-    sorted array of 8-byte id hashes, kept to catch an id that repeats.
+    atomically. Memory holds a block of shard lines and one of score lines,
+    16 bytes per document of the current shard (score and id hash), and the
+    sorted 8-byte hashes of all ids so far, which catch an id that repeats.
     """
     os.makedirs(out_dir, exist_ok=True)
     records = _read_score_records(scores_path)
@@ -228,9 +227,15 @@ def apply_filter(
         hist += np.bincount(np.minimum(bins, HISTOGRAM_BINS - 1), minlength=HISTOGRAM_BINS)
         docs_in += len(shard_scores)
         docs_malformed += len(stream.malformed)
-    return FilterStats(docs_in=docs_in, docs_out=docs_out, docs_malformed=docs_malformed,
-                       retention=docs_out / docs_in if docs_in else 0.0,
-                       score_histogram=hist.tolist(), tau=tau)
+    retention = docs_out / docs_in if docs_in else 0.0
+    return FilterStats(
+        docs_in=docs_in,
+        docs_out=docs_out,
+        docs_malformed=docs_malformed,
+        retention=retention,
+        score_histogram=hist.tolist(),
+        tau=tau,
+    )
 
 
 def sample_scores(
