@@ -247,7 +247,7 @@ def sample_documents(
         streams = itertools.cycle(itertools.islice(streams, n_open))
         docs += itertools.islice(map(next, streams), max_docs - len(docs))
     if not docs:
-        raise EmptyCorpusError(f"no documents in {', '.join(chosen)}")
+        raise EmptyCorpusError(f"no documents in the sampled shards {chosen}")
     return docs
 
 
