@@ -131,7 +131,7 @@ def _line_to_doc(line: str) -> Document | None:
         line = line.rstrip("\n")
         if not line.strip():
             return None
-        rec = parse_json_line(line)  # raises again, at a position within the line
+        rec = parse_json_line(line)  # raises again, as the line without its ending
     if type(rec) is not dict:
         raise ValueError("record is not an object")
     for name in REQUIRED_FIELDS:

@@ -112,7 +112,7 @@ def doc_line(n: int) -> bytes:
          "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
         ("\ufeff".encode(),
          "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
-        # a cut line: the position is within the line, never at or past its ending
+        # a cut line: the reason is that of the line without its ending
         (b'{"id":"x2","text":', "Expecting value: line 1 column 19 (char 18)"),
         (b'{"id":"x2","text":"cut', "Unterminated string starting at: line 1 column 19 (char 18)"),
         (b'{"id":"x2","text":"cut\r', "Invalid control character at: line 1 column 23 (char 22)"),
