@@ -60,6 +60,8 @@ CONFIG_KEYS = {
              "budgets": [{"dataset": str, "lang": str, "available_tokens": float}]},
     "report": {"scores": [{"name": str, "path": str}]},
 }
+# int keys whose value must be at least 1
+AT_LEAST_ONE = {"threshold.n_random", "clusters.k", "clusters.max_iters"}
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -74,8 +76,9 @@ class Section(dict):
 def check_config(value, kind=CONFIG_KEYS, key: str = ""):
     """`value` of the config key `key` checked against its `kind` in CONFIG_KEYS.
     Numbers are converted, not type-checked: YAML 1.1 reads `1e-4` as a string.
-    But a bool is not a number, and an int key takes no fraction. A null value
-    is absent, an absent section is empty, a list becomes a tuple."""
+    But a bool is not a number, an int key takes no fraction, and a key in
+    AT_LEAST_ONE takes nothing below 1. A null value is absent, an absent
+    section is empty, a list becomes a tuple."""
     if isinstance(kind, dict):
         value = {} if value is None else value
         if not isinstance(value, dict):
@@ -103,9 +106,12 @@ def check_config(value, kind=CONFIG_KEYS, key: str = ""):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"config key {key} must be an integer, not {value!r}")
     try:
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key}: {exc}") from None
+    if key in AT_LEAST_ONE and value < 1:
+        raise ConfigError(f"config key {key} must be at least 1, not {value}")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -321,8 +327,6 @@ def cmd_clusters(cfg: dict, stamp: dict) -> int:
     pcfg = provider_config(cfg)
     fit_cfg = cl_cfg["fit"]
     K = cl_cfg.get("k", 64)
-    if K < 1:
-        raise ConfigError(f"config key clusters.k must be at least 1, not {K}")
     # read every dataset entry before the first artefact is written
     datasets = [(e["name"], e["manifest"], e.get("max_docs", 10_000))
                 for e in cl_cfg.get("datasets", ())]

@@ -19,10 +19,21 @@ k-means++ seeding keeps each point's squared distance to its nearest seed,
 `d2`, in the direct form, because `d2` sets the probabilities of the seeded
 draws. Only the first seed costs a full direct pass. For each later seed c,
 one matrix-vector product gives every row's expanded distance to c, and the
-direct form runs only on the rows where that is within `_TIE_RTOL` of
-reaching `d2`. Both forms are within a few d * 2^-53 * (||x||^2 + ||c||^2)
-of the exact distance, far inside that slack, so a skipped row's direct
-distance is at least its `d2`, and taking the minimum would not change it.
+direct form runs only on the rows where that is within
+`_TIE_RTOL` * (max ||x||^2 + ||c||^2) of reaching `d2`. Both forms are
+within a few d * 2^-53 * (||x||^2 + ||c||^2) of the exact distance, far
+inside that slack, so a skipped row's direct distance is at least its
+`d2`, and taking the minimum would not change it. Each seed is drawn as
+`Generator.choice(n, p=d2 / total)` draws it, from the cumulative sum of p
+and one uniform variate, without choice's checks of p: instead the fit
+rejects, for every K, a point whose squared norm is not finite.
+
+The fit computes the rows' squared norms once and hands them to the
+seeding and to every iteration's distances. The centroid update is
+`X[labels == k].mean(axis=0)` bit for bit, without a gather per cluster:
+numpy's axis-0 mean adds the rows to a zero sum in index order, so
+`_cluster_means` adds the j-th row of every cluster that has one in step j:
+at most `capacity` steps of at most K rows each.
 """
 
 from __future__ import annotations
@@ -40,7 +51,9 @@ from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     EmptyHistogramError,
+    IterationCountError,
     LengthMismatchError,
+    NonFinitePointError,
     TooFewPointsError,
 )
 
@@ -95,16 +108,19 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def _sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _sq_distances(X: np.ndarray, C: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
     """(n, K) squared distances from each row of X to each row of C in the
-    expanded form, computed one block of rows at a time."""
+    expanded form, computed one block of rows at a time; `xx` holds the
+    rows' squared norms when the caller has them."""
     cc = _row_norms(C)
+    if xx is None:
+        xx = _row_norms(X)
     D = np.empty((X.shape[0], C.shape[0]))
     for lo in range(0, X.shape[0], _BLOCK_ROWS):
         blk, out = X[lo : lo + _BLOCK_ROWS], D[lo : lo + _BLOCK_ROWS]
         np.matmul(blk, C.T, out=out)
         out *= -2.0
-        out += _row_norms(blk)[:, None]
+        out += xx[lo : lo + _BLOCK_ROWS, None]
         out += cc
         np.maximum(out, 0.0, out=out)
     return D
@@ -116,6 +132,11 @@ def _direct_sq_distances(
     """Sum of squared differences from each row of X, or from each of the
     rows `rows` names, to the point c, one block of rows at a time;
     bit-identical to ((X[rows] - c) ** 2).sum(axis=1)."""
+    if rows is not None and len(rows) <= _BLOCK_ROWS:
+        diff = X[rows]  # one block: its gathered copy is the work array
+        diff -= c
+        diff *= diff
+        return diff.sum(axis=1)
     n = X.shape[0] if rows is None else len(rows)
     d2 = np.empty(n)
     work = np.empty((min(n, _BLOCK_ROWS), X.shape[1]))
@@ -132,30 +153,42 @@ def _direct_sq_distances(
     return d2
 
 
-def _kmeans_pp_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(
+    X: np.ndarray, K: int, rng: np.random.Generator, xx: np.ndarray | None = None
+) -> np.ndarray:
     """k-means++ seeds with `d2` in the direct form. After the first seed,
     the direct form runs only on the rows a new seed may bring closer: a row
     whose expanded distance exceeds its `d2` by more than the `_TIE_RTOL`
     slack has a direct distance of at least `d2` as well (see the module
-    docstring), so its `d2`, and every later draw, is what a full pass gives."""
+    docstring), so its `d2`, and every later draw, is what a full pass gives.
+    `xx` holds the rows' squared norms when the caller has them."""
     n = X.shape[0]
+    if xx is None:
+        xx = _row_norms(X)
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
     d2 = _direct_sq_distances(X, centroids[0])
-    xx = _row_norms(X)
+    # a row is near a new seed c where ||x||^2 - 2 x.c + ||c||^2 - d2 is at most
+    # _TIE_RTOL * (max ||x||^2 + ||c||^2); gap holds the terms that vary by row
+    slack = _TIE_RTOL * xx.max()
+    gap = cdf = np.empty(n)  # one buffer: the draw is done before gap is needed
     for k in range(1, K):
         total = d2.sum()
         if total <= 0:
-            centroids[k] = X[rng.integers(n)]
+            i = rng.integers(n)
         else:
-            centroids[k] = X[rng.choice(n, p=d2 / total)]
-        c = centroids[k]
+            # Generator.choice(n, p=d2 / total): the same index from the same draw
+            np.divide(d2, total, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            cdf /= cdf[-1]
+            i = cdf.searchsorted(rng.random(), side="right")
+        c = centroids[k] = X[i]
         cc = c @ c
-        gap = X @ c
+        np.matmul(X, c, out=gap)
         gap *= -2.0
         gap += xx
-        gap += cc - d2
-        near = np.flatnonzero(gap <= _TIE_RTOL * (xx + cc))
+        gap -= d2
+        near = np.flatnonzero(gap <= slack + (_TIE_RTOL - 1.0) * cc)
         d2[near] = np.minimum(d2[near], _direct_sq_distances(X, c, near))
     return centroids
 
@@ -182,6 +215,31 @@ def _balanced_assign(D: np.ndarray, capacity: int) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
+def _cluster_means(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each cluster's mean, bit for bit X[labels == k].mean(axis=0), one
+    step per row of the largest cluster (see the module docstring); a
+    cluster with no rows keeps its centroid."""
+    K = len(centroids)
+    counts = np.bincount(labels, minlength=K)
+    order = np.argsort(labels, kind="stable")
+    rank = np.empty_like(order)  # each row's place among its cluster's rows
+    rank[order] = np.arange(len(order)) - (np.cumsum(counts) - counts)[labels[order]]
+    # clusters largest first, so that the clusters with a j-th row lead step j
+    by_size = np.argsort(-counts, kind="stable")
+    place = np.empty_like(by_size)
+    place[by_size] = np.arange(K)
+    steps = np.argsort(rank * K + place[labels])
+    sums = np.zeros((K, X.shape[1]))
+    lo = 0
+    for m in np.bincount(rank).tolist():
+        sums[:m] += X[steps[lo : lo + m]]
+        lo += m
+    filled = by_size[: np.count_nonzero(counts)]
+    means = centroids.copy()
+    means[filled] = sums[: len(filled)] / counts[filled, None]
+    return means
+
+
 def _wcss(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     diff = centroids[labels]
     np.subtract(X, diff, out=diff)
@@ -194,26 +252,28 @@ def fit_balanced_kmeans(
 ) -> ClusterModel:
     if K < 1:
         raise ClusterCountError(f"K must be at least 1, not {K}")
+    if max_iters < 1:
+        raise IterationCountError(f"max_iters must be at least 1, not {max_iters}")
     X = _as_matrix(points)
     n, dim = X.shape
     if n < K:
         raise TooFewPointsError(f"{n} points cannot fill {K} clusters")
+    xx = _row_norms(X)
+    bad = np.flatnonzero(~np.isfinite(xx))
+    if len(bad):
+        raise NonFinitePointError(
+            f"point {bad[0]} is not finite or too large: its squared norm is {xx[bad[0]]}"
+        )
     capacity = math.ceil(n / K)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(X, K, rng)
+    centroids = _kmeans_pp_init(X, K, rng, xx)
 
     labels = None
     best_wcss = np.inf
     history: list[float] = []
     for _ in range(max_iters):
-        new_labels = _balanced_assign(_sq_distances(X, centroids), capacity)
-        # each cluster's rows in index order, as a boolean mask would take them
-        members = np.split(np.argsort(new_labels, kind="stable"),
-                           np.cumsum(np.bincount(new_labels, minlength=K))[:-1])
-        new_centroids = centroids.copy()
-        for k, rows in enumerate(members):
-            if len(rows):
-                new_centroids[k] = X[rows].mean(axis=0)
+        new_labels = _balanced_assign(_sq_distances(X, centroids, xx), capacity)
+        new_centroids = _cluster_means(X, new_labels, centroids)
         wcss = _wcss(X, new_centroids, new_labels)
         # greedy assignment is not globally optimal, so keep the best state
         # seen and stop as soon as the objective fails to improve
@@ -242,12 +302,14 @@ def assign_batch(model: ClusterModel, X) -> np.ndarray:
     if X.shape[1] != model.dim:
         raise DimensionMismatchError(f"point dim {X.shape[1]} != model dim {model.dim}")
     C = model.centroids
-    D = _sq_distances(X, C)
+    xx = _row_norms(X)
+    D = _sq_distances(X, C, xx)
     labels = np.argmin(D, axis=1)
     if model.K > 1:
-        two = np.partition(D, 1, axis=1)
-        tol = _TIE_RTOL * (_row_norms(X) + _row_norms(C).max())
-        for i in np.flatnonzero(two[:, 1] - two[:, 0] <= tol):
+        # rows with a second centroid within tol of the nearest
+        D -= np.take_along_axis(D, labels[:, None], axis=1)
+        tol = _TIE_RTOL * (xx + _row_norms(C).max())
+        for i in np.flatnonzero(np.count_nonzero(D <= tol[:, None], axis=1) > 1):
             labels[i] = np.argmin(_direct_sq_distances(C, X[i]))
     return labels
 

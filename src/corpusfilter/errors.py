@@ -86,7 +86,15 @@ class EmptyHistogramError(DataError):
     pass
 
 
+class NonFinitePointError(DataError):
+    pass
+
+
 class ClusterCountError(ConfigError):
+    pass
+
+
+class IterationCountError(ConfigError):
     pass
 
 

@@ -505,6 +505,17 @@ BAD_CONFIGS = {
         "clusters",
         lambda c: c.update(clusters={"k": -2, "fit": {"manifest": c["corpus"]["manifest"]}}),
         "clusters.k must be at least 1, not -2"),
+    "clusters_max_iters_zero": (
+        "clusters",
+        lambda c: c.update(clusters={"k": 2, "max_iters": 0,
+                                     "fit": {"manifest": c["corpus"]["manifest"]}}),
+        "clusters.max_iters must be at least 1, not 0"),
+    "n_random_zero": ("threshold", lambda c: c["threshold"].update(strategy="random_files",
+                                                                   n_random=0),
+                      "threshold.n_random must be at least 1, not 0"),
+    "n_random_negative": ("threshold", lambda c: c["threshold"].update(strategy="random_files",
+                                                                       n_random=-1),
+                          "threshold.n_random must be at least 1, not -1"),
 }
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusfilter.clustering import (
@@ -12,7 +12,9 @@ from corpusfilter.clustering import (
     ClusterHistogram,
     ClusterModel,
     _balanced_assign,
+    _cluster_means,
     _direct_sq_distances,
+    _kmeans_pp_init,
     _sq_distances,
     assign,
     assign_batch,
@@ -25,10 +27,13 @@ from corpusfilter.clustering import (
 from corpusfilter.errors import (
     ClusterCountError,
     ConfigError,
+    DataError,
     DimensionMismatchError,
     EmptyDatasetError,
     EmptyHistogramError,
+    IterationCountError,
     LengthMismatchError,
+    NonFinitePointError,
     TooFewPointsError,
 )
 
@@ -216,6 +221,70 @@ def test_direct_sq_distances_over_rows_equal_the_full_pass(n, d, seed):
     assert _direct_sq_distances(X, c, np.arange(n)).tobytes() == full.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(
+           lambda K: st.tuples(st.just(K), st.lists(st.integers(0, K - 1), min_size=1, max_size=60))),
+       st.integers(0, 2**32 - 1))
+@example((1, [0] * 9), 0)  # K = 1
+@example((5, [3] * 12), 1)  # one cluster holds every row, four are empty
+@example((6, [4, 0, 5, 2, 1, 3]), 2)  # singletons
+@example((4, [0, 0, 2, 2, 2, 0, 2]), 3)  # empty clusters between full ones
+def test_cluster_means_equal_the_masked_means(case, seed):
+    K, labels = case
+    labels = np.array(labels)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(len(labels), 5)) * 10.0 ** rng.integers(-3, 4, size=(len(labels), 1))
+    X[rng.random(X.shape) < 0.2] = -0.0  # signed zeros must sum as numpy's mean sums them
+    old = rng.normal(size=(K, 5))
+    means = _cluster_means(X, labels, old)
+    for k in range(K):
+        want = X[labels == k].mean(axis=0) if np.any(labels == k) else old[k]
+        assert means[k].tobytes() == want.tobytes()
+
+
+def reference_seeds(X, K, seed):
+    """k-means++ seeds drawn with Generator.choice over direct-form distances."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    C = np.empty((K, X.shape[1]))
+    C[0] = X[rng.integers(n)]
+    d2 = np.sum((X - C[0]) ** 2, axis=1)
+    for k in range(1, K):
+        total = d2.sum()
+        C[k] = X[rng.integers(n)] if total <= 0 else X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((X - C[k]) ** 2, axis=1))
+    return C
+
+
+def seeding_inputs():
+    rng = np.random.default_rng(300)
+    base = rng.normal(size=(6, 3))
+    yield base[rng.integers(6, size=200)], 10  # repeated points, zeros in d2, then total 0
+    yield np.full((50, 4), 3.7), 5  # all points equal: every draw takes the total <= 0 branch
+    for n in (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3):
+        # in two dimensions a new seed can bring more than a block of rows closer
+        yield rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-3, 4), 6
+    for X, K, _ in k64_inputs():
+        yield X, K
+
+
+def test_kmeans_pp_init_equals_the_choice_reference():
+    for X, K in seeding_inputs():
+        for seed in range(3):
+            got = _kmeans_pp_init(X, K, np.random.default_rng(seed))
+            assert got.tobytes() == reference_seeds(X, K, seed).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_a_data_error(K, bad):
+    X, _ = two_blobs(40, seed=2)
+    X[17, 2] = bad
+    with pytest.raises(NonFinitePointError, match="point 17 "):
+        fit_balanced_kmeans(X, K=K, seed=0)
+    assert issubclass(NonFinitePointError, DataError)
+
+
 def test_fit_and_histogram_memory_is_linear():
     n, K, d = 8000, 64, 384
     X = np.random.default_rng(0).standard_normal((n, d))
@@ -241,6 +310,15 @@ def test_k_below_one_is_a_config_error(K):
     with pytest.raises(ClusterCountError, match=f"K must be at least 1, not {K}"):
         fit_balanced_kmeans(X, K=K, seed=0)
     assert issubclass(ClusterCountError, ConfigError)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_max_iters_below_one_is_a_config_error(max_iters):
+    X, _ = two_blobs(20, seed=3)
+    with pytest.raises(IterationCountError,
+                       match=f"max_iters must be at least 1, not {max_iters}"):
+        fit_balanced_kmeans(X, K=2, seed=0, max_iters=max_iters)
+    assert issubclass(IterationCountError, ConfigError)
 
 
 def test_fit_deterministic():
