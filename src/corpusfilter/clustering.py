@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -90,9 +89,13 @@ class ClusterHistogram:
 
 
 def _as_matrix(points) -> np.ndarray:
-    X = np.asarray(points, dtype=np.float64)
+    """The points as a float64 matrix, one row per point."""
+    try:
+        X = np.asarray(points, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"points do not form a matrix: {exc}") from None
     if X.ndim != 2:
-        X = np.stack([np.asarray(p, dtype=np.float64) for p in points])
+        raise DimensionMismatchError(f"points must form a 2-D array, not one of shape {X.shape}")
     return X
 
 
@@ -106,6 +109,17 @@ _TIE_RTOL = 1e-10
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
+
+
+def _finite_row_norms(X: np.ndarray) -> np.ndarray:
+    """The rows' squared norms; a row whose squared norm is not finite fails."""
+    xx = _row_norms(X)
+    bad = np.flatnonzero(~np.isfinite(xx))
+    if len(bad):
+        raise NonFinitePointError(
+            f"point {bad[0]} is not finite or too large: its squared norm is {xx[bad[0]]}"
+        )
+    return xx
 
 
 def _sq_distances(X: np.ndarray, C: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
@@ -202,16 +216,16 @@ def _balanced_assign(D: np.ndarray, capacity: int) -> np.ndarray:
     always get their first choice; only boundary points get bumped, and
     only they search the clusters with room.
     """
-    labels = np.argmin(D, axis=1).tolist()
-    sizes = [0] * D.shape[1]
-    room = np.arange(D.shape[1])
-    for i in np.argsort(np.min(D, axis=1), kind="stable").tolist():
+    first = np.argmin(D, axis=1)
+    labels, sizes = first.tolist(), [0] * D.shape[1]
+    full = np.zeros(D.shape[1])  # +inf at each cluster with no room
+    for i in np.argsort(D[np.arange(len(D)), first], kind="stable").tolist():
         k = labels[i]
         if sizes[k] == capacity:
-            k = labels[i] = int(room[np.argmin(D[i, room])])
+            k = labels[i] = int((D[i] + full).argmin())
         sizes[k] += 1
         if sizes[k] == capacity:
-            room = room[room != k]
+            full[k] = np.inf
     return np.array(labels, dtype=np.int64)
 
 
@@ -258,12 +272,7 @@ def fit_balanced_kmeans(
     n, dim = X.shape
     if n < K:
         raise TooFewPointsError(f"{n} points cannot fill {K} clusters")
-    xx = _row_norms(X)
-    bad = np.flatnonzero(~np.isfinite(xx))
-    if len(bad):
-        raise NonFinitePointError(
-            f"point {bad[0]} is not finite or too large: its squared norm is {xx[bad[0]]}"
-        )
+    xx = _finite_row_norms(X)
     capacity = math.ceil(n / K)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(X, K, rng, xx)
@@ -291,18 +300,16 @@ def fit_balanced_kmeans(
     return model
 
 
-def assign(model: ClusterModel, x) -> int:
-    return int(assign_batch(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
-
-
-def assign_batch(model: ClusterModel, X) -> np.ndarray:
+def assign_batch(model: ClusterModel, X, xx: np.ndarray | None = None) -> np.ndarray:
     """Nearest-centroid assignment; capacity is a fit-time constraint only.
-    Ties go to the lowest cluster id."""
+    Ties go to the lowest cluster id. A point that is not finite fails;
+    `xx` holds the rows' squared norms when the caller has checked them."""
     X = _as_matrix(X)
     if X.shape[1] != model.dim:
         raise DimensionMismatchError(f"point dim {X.shape[1]} != model dim {model.dim}")
     C = model.centroids
-    xx = _row_norms(X)
+    if xx is None:
+        xx = _finite_row_norms(X)
     D = _sq_distances(X, C, xx)
     labels = np.argmin(D, axis=1)
     if model.K > 1:
@@ -314,31 +321,16 @@ def assign_batch(model: ClusterModel, X) -> np.ndarray:
     return labels
 
 
-def _row_blocks(dataset: Iterable):
-    """2-D arrays of at most `_BLOCK_ROWS` rows: slices of a 2-D array, or
-    batches of the rows an iterable yields."""
-    if isinstance(dataset, np.ndarray) and dataset.ndim == 2:
-        for lo in range(0, dataset.shape[0], _BLOCK_ROWS):
-            yield dataset[lo : lo + _BLOCK_ROWS]
-        return
-    batch: list = []
-    for x in dataset:
-        batch.append(x)
-        if len(batch) == _BLOCK_ROWS:
-            yield _as_matrix(batch)
-            batch = []
-    if batch:
-        yield _as_matrix(batch)
-
-
-def histogram_over_clusters(
-    model: ClusterModel, dataset: Iterable, name: str
-) -> ClusterHistogram:
-    counts = np.zeros(model.K, dtype=np.int64)
-    for block in _row_blocks(dataset):
-        counts += np.bincount(assign_batch(model, block), minlength=model.K)
-    if counts.sum() == 0:
+def histogram_over_clusters(model: ClusterModel, dataset, name: str) -> ClusterHistogram:
+    """Cluster sizes of the rows of a 2-D dataset, assigned `_BLOCK_ROWS` rows at a time."""
+    if len(dataset) == 0:
         raise EmptyDatasetError(f"dataset {name!r} is empty")
+    X = _as_matrix(dataset)
+    xx = _finite_row_norms(X)
+    counts = np.zeros(model.K, dtype=np.int64)
+    for lo in range(0, len(X), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        counts += np.bincount(assign_batch(model, X[lo:hi], xx[lo:hi]), minlength=model.K)
     return ClusterHistogram(dataset_name=name, counts=counts)
 
 

@@ -16,7 +16,6 @@ from corpusfilter.clustering import (
     _direct_sq_distances,
     _kmeans_pp_init,
     _sq_distances,
-    assign,
     assign_batch,
     fit_balanced_kmeans,
     histogram_distance,
@@ -285,6 +284,41 @@ def test_non_finite_point_is_a_data_error(K, bad):
     assert issubclass(NonFinitePointError, DataError)
 
 
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_fails_assignment_and_histogram(K, bad):
+    X, _ = two_blobs(40, seed=2)
+    model = fit_balanced_kmeans(X, K=K, seed=0)
+    X[17, 2] = bad
+    with pytest.raises(NonFinitePointError, match="point 17 "):
+        assign_batch(model, X)
+    with pytest.raises(NonFinitePointError, match="point 17 "):
+        histogram_over_clusters(model, X, "bad")
+    # a histogram names the row of its dataset, not of the block it is in
+    X = np.tile(X[:16], (_BLOCK_ROWS // 16 + 2, 1))
+    X[_BLOCK_ROWS + 3, 1] = bad
+    with pytest.raises(NonFinitePointError, match=f"point {_BLOCK_ROWS + 3} "):
+        histogram_over_clusters(model, X, "bad")
+
+
+def not_matrices():
+    yield np.zeros(4)  # one point, not a matrix of one row
+    yield np.zeros((2, 3, 4))
+    yield [[0.0, 1.0, 2.0, 3.0], [0.0, 1.0]]  # ragged
+
+
+@pytest.mark.parametrize("points", list(not_matrices()), ids=["1d", "3d", "ragged"])
+def test_points_that_do_not_form_a_matrix_fail(points):
+    X, _ = two_blobs(20, seed=3)
+    model = fit_balanced_kmeans(X, K=2, seed=0)
+    with pytest.raises(DimensionMismatchError, match="matrix|2-D"):
+        fit_balanced_kmeans(points, K=1, seed=0)
+    with pytest.raises(DimensionMismatchError, match="matrix|2-D"):
+        assign_batch(model, points)
+    with pytest.raises(DimensionMismatchError, match="matrix|2-D"):
+        histogram_over_clusters(model, points, "bad")
+
+
 def test_fit_and_histogram_memory_is_linear():
     n, K, d = 8000, 64, 384
     X = np.random.default_rng(0).standard_normal((n, d))
@@ -336,7 +370,7 @@ def test_assign_centroid_maps_to_itself():
     X, _ = two_blobs(50, seed=5)
     model = fit_balanced_kmeans(X, K=5, seed=5)
     for j in range(5):
-        assert assign(model, model.centroids[j]) == j
+        assert assign_batch(model, model.centroids[j : j + 1])[0] == j
 
 
 def test_assign_tie_breaks_to_lowest_id():
@@ -345,7 +379,7 @@ def test_assign_tie_breaks_to_lowest_id():
     )
     model = ClusterModel(centroids=centroids, K=6, dim=2, capacity=1, seed=0)
     # equidistant from clusters 1 and 5 (identical centroids)
-    assert assign(model, np.array([2.0, 1.0])) == 1
+    assert assign_batch(model, np.array([[2.0, 1.0]]))[0] == 1
 
 
 def test_sq_distances_match_direct_form():
@@ -383,7 +417,7 @@ def test_assign_dim_mismatch():
     X, _ = two_blobs(20, seed=7)
     model = fit_balanced_kmeans(X, K=2, seed=7)
     with pytest.raises(DimensionMismatchError):
-        assign(model, np.zeros(9))
+        assign_batch(model, np.zeros((1, 9)))
 
 
 # ------------------------------------------------- histograms
@@ -415,13 +449,12 @@ def test_histogram_additivity():
     assert np.array_equal(h1.counts + h2.counts, h.counts)
 
 
-def test_histogram_of_row_iterable_equals_array():
+def test_histogram_over_blocks_equals_one_assignment():
     X, _ = two_blobs(2 * _BLOCK_ROWS + 5, seed=12)
     model = fit_balanced_kmeans(X[:200], K=5, seed=12)
-    from_rows = histogram_over_clusters(model, (row for row in X), "rows")
     from_array = histogram_over_clusters(model, X, "array")
     assert from_array.total == len(X)
-    assert np.array_equal(from_rows.counts, from_array.counts)
+    assert np.array_equal(from_array.counts, np.bincount(assign_batch(model, X), minlength=5))
 
 
 def test_histogram_empty_dataset():
