@@ -9,13 +9,13 @@ given the seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import atomic_write, load_json_object
+from .corpus_io import load_json_object, write_json
 from .errors import (
+    ConfigError,
     DataError,
     DimensionMismatchError,
     EmptyDataError,
@@ -57,10 +57,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.l2_lambda < 0 or self.max_epochs <= 0 or self.learning_rate <= 0:
-            raise DataError("invalid training configuration")
-        if self.tolerance <= 0:
-            raise DataError("tolerance must be positive")
+        if not (self.l2_lambda >= 0 and self.max_epochs >= 1 and self.learning_rate > 0
+                and self.tolerance > 0):  # NaN fails too
+            raise ConfigError("invalid training configuration: l2_lambda must be at least 0, "
+                              "max_epochs at least 1, learning_rate and tolerance above 0")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -208,7 +208,7 @@ def binarize_fwe_annotations(records: list[dict]) -> list[tuple[str, int]]:
 
 
 def save_classifier(clf: LinearClassifier, path: str) -> None:
-    rec = {
+    write_json(path, {
         "version": clf.version,
         "dim": clf.dim,
         "normalize_inputs": clf.normalize_inputs,
@@ -218,10 +218,7 @@ def save_classifier(clf: LinearClassifier, path: str) -> None:
         "seed": clf.seed,
         "l2_lambda": clf.l2_lambda,
         "train_loss": clf.train_loss,
-    }
-    with atomic_write(path) as fh:
-        json.dump(rec, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+    }, indent=None)
 
 
 def load_classifier(path: str) -> LinearClassifier:

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -31,7 +32,7 @@ import yaml
 from . import __version__
 from . import classifier as clf_mod
 from . import clustering, corpus_io, planner, thresholds
-from .corpus_io import FirstFile, RandomFiles, atomic_write, load_manifest, read_shard
+from .corpus_io import FirstFile, RandomFiles, atomic_write, load_manifest, read_shard, write_json
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
 from .errors import ConfigError, DataError, EmptyCorpusError, ToolkitError
 
@@ -60,8 +61,12 @@ CONFIG_KEYS = {
              "budgets": [{"dataset": str, "lang": str, "available_tokens": float}]},
     "report": {"scores": [{"name": str, "path": str}]},
 }
-# int keys whose value must be at least 1
-AT_LEAST_ONE = {"threshold.n_random", "clusters.k", "clusters.max_iters"}
+# the least value of a number key (a list entry's without its index), and
+# the keys that must be above 0
+AT_LEAST = {"threshold.n_random": 1, "threshold.max_docs": 1, "clusters.k": 1,
+            "clusters.max_iters": 1, "clusters.fit.max_docs": 1,
+            "clusters.datasets.max_docs": 1, "train.max_epochs": 1, "train.l2_lambda": 0}
+POSITIVE = {"train.learning_rate", "train.tolerance"}
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -77,8 +82,8 @@ def check_config(value, kind=CONFIG_KEYS, key: str = ""):
     """`value` of the config key `key` checked against its `kind` in CONFIG_KEYS.
     Numbers are converted, not type-checked: YAML 1.1 reads `1e-4` as a string.
     But a bool is not a number, an int key takes no fraction, and a key in
-    AT_LEAST_ONE takes nothing below 1. A null value is absent, an absent
-    section is empty, a list becomes a tuple."""
+    AT_LEAST or POSITIVE takes nothing out of bounds. A null value is absent,
+    an absent section is empty, a list becomes a tuple."""
     if isinstance(kind, dict):
         value = {} if value is None else value
         if not isinstance(value, dict):
@@ -109,8 +114,12 @@ def check_config(value, kind=CONFIG_KEYS, key: str = ""):
         value = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key}: {exc}") from None
-    if key in AT_LEAST_ONE and value < 1:
-        raise ConfigError(f"config key {key} must be at least 1, not {value}")
+    bare = re.sub(r"\[\d+\]", "", key)
+    # `not >=`, not `<`, so that NaN is out of bounds too
+    if bare in AT_LEAST and not value >= AT_LEAST[bare]:
+        raise ConfigError(f"config key {key} must be at least {AT_LEAST[bare]}, not {value}")
+    if bare in POSITIVE and not value > 0:
+        raise ConfigError(f"config key {key} must be positive, not {value}")
     return value
 
 
@@ -132,13 +141,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _write_report(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def provider_config(cfg: dict) -> EmbeddingProviderConfig:
     emb = {"seed": cfg.get("seed", 0), **cfg["embedding"]}
     if ENDPOINT_ENV in os.environ:
@@ -156,22 +158,17 @@ def _out_dir(cfg: dict) -> str:
 
 def _read_annotations(path: str) -> list[dict]:
     records = []
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = corpus_io.parse_json_line(line.decode("utf-8"))
-            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                raise DataError(f"{path}:{line_no}: annotation is not UTF-8 JSON: {exc}") from exc
-            if type(rec) is not dict or type(rec.get("text")) is not str or "score" not in rec:
-                raise DataError(f"{path}:{line_no}: annotation is not an object with a "
-                                "string 'text' and a 'score'")
-            try:
-                corpus_io._require_utf8("text", rec["text"])
-            except ValueError as exc:  # a lone surrogate from a \ud800 escape
-                raise DataError(f"{path}:{line_no}: annotation {exc}") from exc
-            records.append(rec)
+    for line_no, _, rec in corpus_io.read_json_lines(path):
+        if isinstance(rec, ValueError):  # JSONDecodeError or UnicodeDecodeError
+            raise DataError(f"{path}:{line_no}: annotation is not UTF-8 JSON: {rec}") from rec
+        if type(rec) is not dict or type(rec.get("text")) is not str or "score" not in rec:
+            raise DataError(f"{path}:{line_no}: annotation is not an object with a "
+                            "string 'text' and a 'score'")
+        try:
+            corpus_io._require_utf8("text", rec["text"])
+        except ValueError as exc:  # a lone surrogate from a \ud800 escape
+            raise DataError(f"{path}:{line_no}: annotation {exc}") from exc
+        records.append(rec)
     return records
 
 
@@ -215,7 +212,7 @@ def cmd_train_filter(cfg: dict, stamp: dict) -> int:
         "train_loss": clf.train_loss,
         "eval": clf_mod.evaluate(clf, X, labels),
     }
-    _write_report(os.path.join(out, "train_report.json"), report)
+    write_json(os.path.join(out, "train_report.json"), report)
     print(f"classifier -> {clf_path} (train accuracy {report['eval']['accuracy']:.4f})")
     return 0
 
@@ -264,7 +261,7 @@ def cmd_threshold(cfg: dict, stamp: dict) -> int:
             scores[first], scores[rand], th_cfg.get("percentile", 90.0)
         )
     out = os.path.join(_out_dir(cfg), "threshold_report.json")
-    _write_report(out, report)
+    write_json(out, report)
     for e in estimates:
         print(f"p{e.percentile:g}: tau={e.tau:.6f} (n={e.sample_size}, {e.strategy})")
     return 0
@@ -302,7 +299,7 @@ def cmd_filter(cfg: dict, stamp: dict) -> int:
     out_dir = cfg["filter"].get("out_dir") or os.path.join(_out_dir(cfg), "filtered")
     stats = thresholds.apply_filter(manifest, _scores_path(cfg), tau, out_dir)
     report = {**stamp, "corpus_name": manifest.corpus_name, **vars(stats)}
-    _write_report(os.path.join(_out_dir(cfg), "filter_stats.json"), report)
+    write_json(os.path.join(_out_dir(cfg), "filter_stats.json"), report)
     print(
         f"kept {stats.docs_out}/{stats.docs_in} docs "
         f"(retention {stats.retention:.4f}) at tau={tau:.6f} -> {out_dir}"
@@ -312,8 +309,6 @@ def cmd_filter(cfg: dict, stamp: dict) -> int:
 
 def _embed_manifest_sample(manifest_path: str, pcfg, max_docs: int) -> np.ndarray:
     """Embeddings of the first `max_docs` documents of the manifest's shards."""
-    if max_docs <= 0:
-        raise DataError("max_docs must be positive")
     shards = load_manifest(manifest_path).shard_paths
     docs = itertools.chain.from_iterable(read_shard(path) for path in shards)
     texts = [doc.text for doc in itertools.islice(docs, max_docs)]
@@ -356,7 +351,7 @@ def cmd_clusters(cfg: dict, stamp: dict) -> int:
             for h in histograms
         },
     }
-    _write_report(os.path.join(out, "cluster_report.json"), report)
+    write_json(os.path.join(out, "cluster_report.json"), report)
 
     # plot-ready CSV: one row per cluster, one column per dataset
     csv_path = os.path.join(out, "cluster_histograms.csv")
@@ -390,7 +385,7 @@ def cmd_plan(cfg: dict, stamp: dict) -> int:
         "chinchilla_multiple": planner.chinchilla_multiple(total, plan.model_params),
         "rows": [vars(r) for r in rows],
     }
-    _write_report(os.path.join(_out_dir(cfg), "plan_report.json"), report)
+    write_json(os.path.join(_out_dir(cfg), "plan_report.json"), report)
     print(f"total tokens: {total:,} ({report['chinchilla_multiple']:.2f}x chinchilla)")
     for r in rows:
         flag = " WARN>10ep" if r.warn else (" advisory>4ep" if r.advisory else "")
@@ -413,7 +408,7 @@ def cmd_report(cfg: dict, stamp: dict) -> int:
         }
     report = {**stamp, "percentiles": list(percentiles), "table": columns}
     out = os.path.join(_out_dir(cfg), "percentile_table.json")
-    _write_report(out, report)
+    write_json(out, report)
 
     csv_path = os.path.join(_out_dir(cfg), "percentile_table.csv")
     names = list(columns)

@@ -38,15 +38,15 @@ at most `capacity` steps of at most K rows each.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus_io import atomic_write
+from .corpus_io import load_json_object, write_json
 from .errors import (
     ClusterCountError,
+    DataError,
     DimensionMismatchError,
     EmptyDatasetError,
     EmptyHistogramError,
@@ -346,26 +346,31 @@ def histogram_distance(a: ClusterHistogram, b: ClusterHistogram) -> float:
 
 
 def save_cluster_model(model: ClusterModel, path: str) -> None:
-    rec = {
+    write_json(path, {
         "K": model.K,
         "dim": model.dim,
         "seed": model.seed,
         "capacity": model.capacity,
         "centroids": model.centroids.ravel().tolist(),
-    }
-    with atomic_write(path) as fh:
-        json.dump(rec, fh, sort_keys=True)
-        fh.write("\n")
+    }, indent=None)
 
 
 def load_cluster_model(path: str) -> ClusterModel:
-    with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
-    K, dim = int(rec["K"]), int(rec["dim"])
+    ints = ("K", "dim", "capacity", "seed")
+    rec = load_json_object(path, "cluster model", ints + ("centroids",))
+    for key in ints:
+        if type(rec[key]) is not int:  # type(), not isinstance: a bool is an int
+            raise DataError(f"cluster model {path}: {key!r} must be an integer")
+    K, dim, centroids = rec["K"], rec["dim"], rec["centroids"]
+    if not isinstance(centroids, list) or any(type(v) not in (int, float) for v in centroids):
+        raise DataError(f"cluster model {path}: 'centroids' must be a list of numbers")
+    if K < 1 or dim < 1 or len(centroids) != K * dim:
+        raise DataError(f"cluster model {path}: 'centroids' holds {len(centroids)} numbers, "
+                        f"not K * dim = {K} * {dim}, with K and dim at least 1")
     return ClusterModel(
-        centroids=np.array(rec["centroids"], dtype=np.float64).reshape(K, dim),
+        centroids=np.array(centroids, dtype=np.float64).reshape(K, dim),
         K=K,
         dim=dim,
-        capacity=int(rec["capacity"]),
-        seed=int(rec["seed"]),
+        capacity=rec["capacity"],
+        seed=rec["seed"],
     )

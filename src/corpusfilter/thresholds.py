@@ -9,7 +9,6 @@ the corpus.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from array import array
@@ -20,15 +19,14 @@ import numpy as np
 
 from . import classifier as clf_mod
 from .corpus_io import (
-    BLOCK_BYTES,
     CorpusManifest,
     FirstFile,
     RandomFiles,
-    atomic_write,
-    parse_json_line,
+    read_json_lines,
     read_shard,
     sample_documents,
     shard_writer,
+    write_json_lines,
 )
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
 from .errors import (
@@ -112,45 +110,28 @@ def score_corpus(
             fragments = list(pool.map(lambda p: _score_shard(p, provider, clf), paths))
     else:
         fragments = [_score_shard(p, provider, clf) for p in paths]
-
-    count = 0
-    with atomic_write(out_path) as fh:
-        for fragment in fragments:
-            for rec in fragment:
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
-                count += 1
-    return count
+    return write_json_lines(out_path, (rec for fragment in fragments for rec in fragment))
 
 
 def _read_score_records(path: str):
     """Yield (doc_id, score, shard) per record of a score file, skipping
-    lines of ASCII whitespace. A record that is not a JSON object, whose
-    doc_id is not a string, or whose score is not a number in [0, 1] is a
-    DataError naming its line."""
-    line_no = 0
-    with open(path, "rb", BLOCK_BYTES) as fh:
-        while block := fh.readlines(BLOCK_BYTES):
-            for line_no, raw in enumerate(block, line_no + 1):
-                try:
-                    rec = parse_json_line(raw.decode("utf-8"))
-                except ValueError:  # JSONDecodeError or UnicodeDecodeError
-                    if not raw.strip():
-                        continue
-                    rec = None
-                if type(rec) is not dict:
-                    raise DataError(f"{path}:{line_no}: score record is not a JSON object")
-                doc_id = rec.get("doc_id")
-                if type(doc_id) is not str:
-                    raise DataError(f"{path}:{line_no}: doc_id {doc_id!r} is not a string")
-                score = rec.get("score")
-                # type(), not isinstance: a bool is an int
-                if type(score) not in (float, int) or not 0.0 <= score <= 1.0:
-                    raise DataError(
-                        f"{path}:{line_no}: document {doc_id!r} has score {score!r}, "
-                        "not a number in [0, 1]"
-                    )
-                yield doc_id, float(score), rec.get("shard")
+    blank lines. A record that is not a JSON object, whose doc_id is not a
+    string, or whose score is not a number in [0, 1] is a DataError naming
+    its line."""
+    for line_no, _, rec in read_json_lines(path):
+        if type(rec) is not dict:
+            raise DataError(f"{path}:{line_no}: score record is not a JSON object")
+        doc_id = rec.get("doc_id")
+        if type(doc_id) is not str:
+            raise DataError(f"{path}:{line_no}: doc_id {doc_id!r} is not a string")
+        score = rec.get("score")
+        # type(), not isinstance: a bool is an int
+        if type(score) not in (float, int) or not 0.0 <= score <= 1.0:
+            raise DataError(
+                f"{path}:{line_no}: document {doc_id!r} has score {score!r}, "
+                "not a number in [0, 1]"
+            )
+        yield doc_id, float(score), rec.get("shard")
 
 
 def load_scores(path: str) -> dict[str, float]:
@@ -281,19 +262,6 @@ def thresholds_from_scores(
     ]
 
 
-def estimate_thresholds(
-    manifest: CorpusManifest,
-    provider_config: EmbeddingProviderConfig,
-    clf: clf_mod.LinearClassifier,
-    percentiles: list[float],
-    strategy: FirstFile | RandomFiles = FirstFile(),
-    max_docs: int = 100_000,
-) -> list[ThresholdEstimate]:
-    """One estimate per percentile, all from one scored sample."""
-    scores = sample_scores(manifest, provider_config, clf, [strategy], max_docs)[strategy]
-    return thresholds_from_scores(scores, percentiles, strategy, manifest.corpus_name)
-
-
 def estimate_threshold(
     manifest: CorpusManifest,
     provider_config: EmbeddingProviderConfig,
@@ -302,9 +270,8 @@ def estimate_threshold(
     strategy: FirstFile | RandomFiles = FirstFile(),
     max_docs: int = 100_000,
 ) -> ThresholdEstimate:
-    return estimate_thresholds(
-        manifest, provider_config, clf, [percentile], strategy, max_docs
-    )[0]
+    scores = sample_scores(manifest, provider_config, clf, [strategy], max_docs)[strategy]
+    return thresholds_from_scores(scores, [percentile], strategy, manifest.corpus_name)[0]
 
 
 def compare_scores(

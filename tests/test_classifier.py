@@ -17,6 +17,7 @@ from corpusfilter.classifier import (
     train_logistic,
 )
 from corpusfilter.errors import (
+    ConfigError,
     DataError,
     DimensionMismatchError,
     EmptyDataError,
@@ -88,6 +89,14 @@ def test_train_separable_blobs():
     X, y = gaussian_examples(n=200, separation=4.0, seed=0)
     clf = train_logistic(X, y, TrainConfig(seed=0))
     assert evaluate(clf, X, y)["accuracy"] >= 0.95
+
+
+@pytest.mark.parametrize("bad", [{"max_epochs": 0}, {"l2_lambda": -1.0}, {"learning_rate": 0.0},
+                                 {"tolerance": 0.0}, {"learning_rate": math.nan},
+                                 {"tolerance": math.nan}, {"l2_lambda": math.nan}])
+def test_bad_train_config_is_a_config_error(bad):
+    with pytest.raises(ConfigError):
+        TrainConfig(**bad)
 
 
 def test_train_single_class_error():

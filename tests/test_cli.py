@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,14 @@ import corpusfilter
 
 from corpusfilter import cli
 from corpusfilter.classifier import load_classifier
-from corpusfilter.cli import _write_report, check_config, load_config, main
-from corpusfilter.corpus_io import CorpusManifest, read_shard, save_manifest, write_shard
+from corpusfilter.cli import check_config, load_config, main
+from corpusfilter.corpus_io import (
+    CorpusManifest,
+    read_shard,
+    save_manifest,
+    write_json,
+    write_shard,
+)
 from corpusfilter.embedding import HashedNgramProvider
 from corpusfilter.thresholds import compare_sampling_strategies
 
@@ -448,10 +455,10 @@ def test_bad_score_record_is_a_data_error(tmp_path, capsys, command, fault):
 
 def test_report_write_error_keeps_the_old_report(tmp_path):
     path = tmp_path / "report.json"
-    _write_report(str(path), {"docs": 1})
+    write_json(str(path), {"docs": 1})
     before = path.read_bytes()
     with pytest.raises(TypeError):
-        _write_report(str(path), {"docs": 2, "zz": object()})
+        write_json(str(path), {"docs": 2, "zz": object()})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["report.json"]
 
@@ -516,6 +523,30 @@ BAD_CONFIGS = {
     "n_random_negative": ("threshold", lambda c: c["threshold"].update(strategy="random_files",
                                                                        n_random=-1),
                           "threshold.n_random must be at least 1, not -1"),
+    "max_epochs_zero": ("train-filter", lambda c: c["train"].update(max_epochs=0),
+                        "train.max_epochs must be at least 1, not 0"),
+    "l2_lambda_negative": ("train-filter", lambda c: c["train"].update(l2_lambda=-1),
+                           "train.l2_lambda must be at least 0, not -1.0"),
+    "learning_rate_zero": ("train-filter", lambda c: c["train"].update(learning_rate=0),
+                           "train.learning_rate must be positive, not 0.0"),
+    "tolerance_zero": ("train-filter", lambda c: c["train"].update(tolerance=0),
+                       "train.tolerance must be positive, not 0.0"),
+    # with a NaN step the line search never ends
+    "learning_rate_nan": ("train-filter", lambda c: c["train"].update(learning_rate=math.nan),
+                          "train.learning_rate must be positive, not nan"),
+    "threshold_max_docs_zero": ("threshold", lambda c: c["threshold"].update(max_docs=0),
+                                "threshold.max_docs must be at least 1, not 0"),
+    "clusters_fit_max_docs_zero": (
+        "clusters",
+        lambda c: c.update(clusters={"k": 2, "fit": {"manifest": c["corpus"]["manifest"],
+                                                     "max_docs": 0}}),
+        "clusters.fit.max_docs must be at least 1, not 0"),
+    "clusters_dataset_max_docs_zero": (
+        "clusters",
+        lambda c: c.update(clusters={"k": 2, "fit": {"manifest": c["corpus"]["manifest"]},
+                                     "datasets": [{"name": "a", "manifest": c["corpus"]["manifest"],
+                                                   "max_docs": 0}]}),
+        "clusters.datasets[0].max_docs must be at least 1, not 0"),
 }
 
 
@@ -637,6 +668,56 @@ BAD_ANNOTATIONS = {
     "text_not_a_string": b'{"text": 5, "score": 3}',
     "lone_surrogate": b'{"text": "lone \\ud800", "score": 3}',
 }
+
+
+# a line of ASCII whitespace is blank; any other line is a record or a fault
+LINE_RULE_CASES = {
+    "ascii_whitespace": (b" \t\x0b\x0c\r", True),
+    "no_break_space": ("\xa0".encode(), False),
+    "line_separator": ("\u2028".encode(), False),
+    "file_separator": (b"\x1c", False),
+    "byte_order_mark": ("\ufeff".encode(), False),
+}
+
+
+@pytest.mark.parametrize("name", list(LINE_RULE_CASES))
+def test_one_blank_line_rule_for_shards_scores_and_annotations(tmp_path, capsys, name):
+    line, blank = LINE_RULE_CASES[name]
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    shard, scores, annotations = (str(tmp_path / n) for n in ("s.jsonl", "s.scores", "a.jsonl"))
+    records = {
+        shard: [json.dumps({"id": i, "text": "some text", "lang": "en", "source": "s"})
+                for i in "ab"],
+        scores: [json.dumps({"doc_id": i, "score": 0.5}) for i in "ab"],
+        annotations: [json.dumps({"text": "some text", "score": s}) for s in (0, 5)],
+    }
+    for path, (first, last) in records.items():
+        with open(path, "wb") as fh:
+            fh.write(first.encode() + b"\n" + line + b"\n" + last.encode() + b"\n")
+
+    stream = read_shard(shard)
+    assert [d.id for d in stream] == ["a", "b"]
+    assert [m.line_no for m in stream.malformed] == ([] if blank else [2])
+
+    cfg["report"] = {"scores": [{"name": "s", "path": scores}]}
+    cfg["train"]["annotations"] = annotations
+    write_config(cfg_path, cfg)
+    for command, path in (("report", scores), ("train-filter", annotations)):
+        assert run(command, cfg_path) == (0 if blank else 3)
+        assert (f"{path}:2:" in capsys.readouterr().err) is not blank
+
+
+def test_gz_named_score_file_is_plain_jsonl(tmp_path):
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=20)
+    cfg["scores"] = os.path.join(cfg["output_dir"], "scores.jsonl.gz")
+    cfg["filter"] = {"tau": 0.5, "out_dir": str(tmp_path / "filtered")}
+    write_config(cfg_path, cfg)
+    for command in ("train-filter", "score", "filter", "report"):
+        assert run(command, cfg_path) == 0, command
+    with open(cfg["scores"], "rb") as fh:
+        assert len(fh.read().splitlines()) == 40  # not gzipped
+    table = json.load(open(os.path.join(cfg["output_dir"], "percentile_table.json")))
+    assert list(table["table"]) == ["scores"]
 
 
 @pytest.mark.parametrize("fault", list(BAD_ANNOTATIONS))

@@ -539,6 +539,36 @@ def test_cluster_model_roundtrip(tmp_path):
     back = load_cluster_model(path)
     assert np.array_equal(back.centroids, model.centroids)
     assert back.K == 4 and back.capacity == model.capacity and back.seed == 13
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"  # one compact line
+
+
+MODEL = {"K": 2, "dim": 2, "capacity": 3, "seed": 0, "centroids": [0.0, 1.0, 2.0, 3.0]}
+BAD_MODELS = {
+    # name: (file content, what the error names)
+    "not_json": ("{not json", "not valid JSON"),
+    "not_an_object": ("[]", "not a JSON object"),
+    "missing_key": (json.dumps({k: v for k, v in MODEL.items() if k != "capacity"}),
+                    "'capacity'"),
+    "K_not_an_integer": (json.dumps({**MODEL, "K": 2.5}), "'K' must be an integer"),
+    "K_a_bool": (json.dumps({**MODEL, "K": True}), "'K' must be an integer"),
+    "K_zero": (json.dumps({**MODEL, "K": 0, "centroids": []}), "not K * dim = 0 * 2"),
+    "centroids_not_numbers": (json.dumps({**MODEL, "centroids": ["a", 1, 2, 3]}),
+                              "'centroids' must be a list of numbers"),
+    "wrong_centroid_count": (json.dumps({**MODEL, "centroids": [0.0, 1.0, 2.0]}),
+                             "'centroids' holds 3 numbers, not K * dim = 2 * 2"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_MODELS))
+def test_bad_cluster_model_is_a_data_error(tmp_path, name):
+    content, named = BAD_MODELS[name]
+    path = tmp_path / "model.json"
+    path.write_text(content)
+    with pytest.raises(DataError) as err:
+        load_cluster_model(str(path))
+    assert str(path) in str(err.value) and named in str(err.value)
 
 
 def test_save_cluster_model_error_mid_dump_keeps_old_file(tmp_path, monkeypatch):

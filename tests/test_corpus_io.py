@@ -102,7 +102,9 @@ def doc_line(n: int) -> bytes:
         (b"\t", None),
         (b"\r", None),
         (b"\x0c", None),
-        (" \t\r\x0b\x0c\x1c\xa0\u2028".encode(), None),  # str.isspace() throughout
+        (b" \t\r\x0b\x0c", None),  # bytes.isspace() throughout
+        # str.isspace() throughout, but not ASCII whitespace
+        (" \t\r\x0b\x0c\x1c\xa0\u2028".encode(), "Expecting value: line 1 column 4 (char 3)"),
         (b" \t\r" + doc_line(2), "x2"),
         (doc_line(2) + b"\r", "x2"),  # a CRLF line ending
         (doc_line(2) + b" \t\r", "x2"),
@@ -333,18 +335,17 @@ def split_lines(path: str) -> list[bytes]:
 
 
 def reference_shard(path: str):
-    """(documents, malformed) of a shard by the rules in corpus_io: a blank
-    line is skipped; any other line is a document only when it is UTF-8 and
-    JSON, an object with string id, text, lang and source, a meta that is an
-    object when given, every string encodable, and non-empty id, text after
-    trim and lang."""
+    """(documents, malformed) of a shard by the rules in corpus_io: a line
+    of ASCII whitespace is skipped; any other line is a document only when
+    it is UTF-8 and JSON, an object with string id, text, lang and source, a
+    meta that is an object when given, every string encodable, and non-empty
+    id, text after trim and lang."""
     docs, malformed = [], []
     for line_no, raw in enumerate(split_lines(path), start=1):
+        if not raw.strip():
+            continue
         try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            docs.append(reference_document(json.loads(line)))
+            docs.append(reference_document(json.loads(raw.decode("utf-8"))))
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError and the checks
             malformed.append((line_no, str(exc)))
     return docs, malformed

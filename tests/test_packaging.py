@@ -1,3 +1,4 @@
+import ast
 import glob
 import os
 import shutil
@@ -28,3 +29,33 @@ def test_sdist_holds_every_module_and_the_entry_point(tmp_path):
         rel = os.path.relpath(module, REPO)
         assert any(n.endswith("/" + rel) for n in names), rel
     assert "corpusfilter = corpusfilter.cli:main" in entry_text
+
+
+# calls that open, parse or dump a file; only corpus_io makes them
+FILE_CALLS = {"open", "io.open", "gzip.open", "json.load", "json.dump"}
+
+
+def call_name(node: ast.Call) -> str:
+    func = node.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def test_only_corpus_io_opens_and_parses_files():
+    found = []
+    for module in sorted(glob.glob(os.path.join(REPO, "src", "corpusfilter", "*.py"))):
+        name = os.path.basename(module)
+        if name == "corpus_io.py":
+            continue
+        with open(module, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            where = f"{name}:{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and call_name(node) in FILE_CALLS:
+                    found.append(f"{where}: {call_name(node)}")
+                # no way round the names above, as in `from json import load`
+                if isinstance(node, ast.ImportFrom) and node.module in ("io", "gzip", "json"):
+                    found.append(f"{where}: from {node.module} import")
+    assert found == ["cli.py:load_config: open"]  # the YAML config

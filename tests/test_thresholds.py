@@ -10,6 +10,7 @@ from corpusfilter.classifier import score_batch
 from corpusfilter.corpus_io import (
     CorpusManifest,
     Document,
+    FirstFile,
     doc_to_line,
     read_shard,
     write_shard,
@@ -27,9 +28,10 @@ from corpusfilter.thresholds import (
     compare_sampling_strategies,
     estimate_percentile_threshold,
     estimate_threshold,
-    estimate_thresholds,
     load_scores,
+    sample_scores,
     score_corpus,
+    thresholds_from_scores,
 )
 
 from conftest import hashed_config, make_corpus, make_docs
@@ -273,7 +275,7 @@ def test_estimate_threshold_reports_strategy(tmp_path, seed_classifier):
     assert est.corpus_name == "syncorpus"
 
 
-def test_estimate_thresholds_embed_the_sample_once(tmp_path, seed_classifier, monkeypatch):
+def test_sampled_scores_embed_the_sample_once(tmp_path, seed_classifier, monkeypatch):
     clf, _, _ = seed_classifier
     manifest = make_corpus(tmp_path, n_shards=3, docs_per_shard=30)
     singles = [estimate_threshold(manifest, hashed_config(), clf, p) for p in (30, 60, 90)]
@@ -282,7 +284,9 @@ def test_estimate_thresholds_embed_the_sample_once(tmp_path, seed_classifier, mo
     monkeypatch.setattr(
         HashedNgramProvider, "embed_batch", lambda self, texts: calls.append(1) or embed(self, texts)
     )
-    batch = estimate_thresholds(manifest, hashed_config(), clf, [30, 60, 90])
+    first = FirstFile()
+    scores = sample_scores(manifest, hashed_config(), clf, [first])[first]
+    batch = thresholds_from_scores(scores, [30, 60, 90], first, manifest.corpus_name)
     assert [vars(e) for e in batch] == [vars(e) for e in singles]
     assert len(calls) == 1
 
