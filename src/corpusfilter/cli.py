@@ -63,10 +63,13 @@ CONFIG_KEYS = {
 }
 # the least value of a number key (a list entry's without its index), and
 # the keys that must be above 0
-AT_LEAST = {"threshold.n_random": 1, "threshold.max_docs": 1, "clusters.k": 1,
-            "clusters.max_iters": 1, "clusters.fit.max_docs": 1,
-            "clusters.datasets.max_docs": 1, "train.max_epochs": 1, "train.l2_lambda": 0}
-POSITIVE = {"train.learning_rate", "train.tolerance"}
+AT_LEAST = {"workers": 1, "embedding.dim": 1, "embedding.batch_size": 1,
+            "embedding.truncate_chars": 1, "threshold.n_random": 1, "threshold.max_docs": 1,
+            "clusters.k": 1, "clusters.max_iters": 1, "clusters.fit.max_docs": 1,
+            "clusters.datasets.max_docs": 1, "train.max_epochs": 1, "train.l2_lambda": 0,
+            "plan.steps": 1, "plan.batch_size": 1, "plan.context_len": 1}
+POSITIVE = {"train.learning_rate", "train.tolerance", "plan.model_params",
+            "plan.languages.weight"}
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -164,6 +167,8 @@ def _read_annotations(path: str) -> list[dict]:
         if type(rec) is not dict or type(rec.get("text")) is not str or "score" not in rec:
             raise DataError(f"{path}:{line_no}: annotation is not an object with a "
                             "string 'text' and a 'score'")
+        if not rec["text"] or rec["text"].isspace():  # the rule of Document.validate
+            raise DataError(f"{path}:{line_no}: annotation text is empty or whitespace only")
         try:
             corpus_io._require_utf8("text", rec["text"])
         except ValueError as exc:  # a lone surrogate from a \ud800 escape
@@ -195,10 +200,11 @@ def _load_seed_documents(train_cfg: dict) -> tuple[list[str], list[int], str]:
 
 
 def cmd_train_filter(cfg: dict, stamp: dict) -> int:
+    provider = get_provider(provider_config(cfg))  # its checks come before any shard is read
     train_cfg = dict(cfg["train"])
     texts, labels, provenance = _load_seed_documents(train_cfg)
     tconf = clf_mod.TrainConfig(**train_cfg, seed=cfg.get("seed", 0))
-    X = embed_texts(get_provider(provider_config(cfg)), texts)
+    X = embed_texts(provider, texts)
     clf = clf_mod.train_logistic(X, labels, tconf)
     clf.trained_on = provenance
 

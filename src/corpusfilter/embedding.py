@@ -30,21 +30,19 @@ from .kernels import hashed_ngram_counts, hashed_ngram_matrix
 if TYPE_CHECKING:
     import requests
 
-DEFAULT_DIM = 384
-DEFAULT_TRUNCATE_CHARS = 2048
+MAX_RETRIES = 3  # attempts per remote batch
+RETRY_WAIT = 0.5  # seconds before the second attempt, doubled before each later one
 
 
 @dataclass
 class EmbeddingProviderConfig:
     kind: str = "hashed_ngram"  # or "remote"
-    dim: int = DEFAULT_DIM
+    dim: int = 384
     endpoint: str | None = None
     ngram_range: tuple[int, int] = (2, 4)
     seed: int = 0
     batch_size: int = 256
-    truncate_chars: int = DEFAULT_TRUNCATE_CHARS
-    max_retries: int = 3
-    retry_wait: float = 0.5
+    truncate_chars: int = 2048
     headers: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -52,6 +50,8 @@ class EmbeddingProviderConfig:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
         if self.dim <= 0:
             raise ConfigError("dim must be positive")
+        if self.kind == "hashed_ngram":
+            _check_hashed_dim(self.dim)
         if self.kind == "remote" and not self.endpoint:
             raise ConfigError("remote provider requires an endpoint")
         lo, hi = self.ngram_range
@@ -98,19 +98,11 @@ class HashedNgramProvider:
         self.config = config
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """Truncate each text, then embed the batch in one kernel call.
-        Truncation comes first because lowercasing can change the length."""
+        """Unit rows of a batch cut by `embed_texts`, lowercased, in one kernel call."""
         cfg = self.config
-        if not texts:
-            raise EmptyInputError("embed_batch called with no texts")
-        clipped = [text[: cfg.truncate_chars] for text in texts]
-        for i, text in enumerate(clipped):
-            if not text:
-                raise EmptyInputError(f"text {i} empty after truncation")
-        _check_hashed_dim(cfg.dim)
         lo, hi = cfg.ngram_range
-        counts = hashed_ngram_matrix([t.lower() for t in clipped], cfg.dim, lo, hi, cfg.seed)
-        return _unit_rows(counts, clipped)
+        counts = hashed_ngram_matrix([t.lower() for t in texts], cfg.dim, lo, hi, cfg.seed)
+        return _unit_rows(counts, texts)
 
 
 class RemoteProvider:
@@ -128,22 +120,18 @@ class RemoteProvider:
         self.session = session or requests.Session()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """Rows of a batch cut by `embed_texts`, sent as it is in one request."""
         import requests
 
         cfg = self.config
-        if not texts:
-            raise EmptyInputError("embed_batch called with no texts")
-        clipped = [t[: cfg.truncate_chars] for t in texts]
-        if any(not t for t in clipped):
-            raise EmptyInputError("batch contains empty text after truncation")
         url = cfg.endpoint.rstrip("/") + "/embed"
         last_err: Exception | None = None
-        for attempt in range(cfg.max_retries):
+        for attempt in range(MAX_RETRIES):
             if attempt:
-                time.sleep(cfg.retry_wait * 2 ** (attempt - 1))
+                time.sleep(RETRY_WAIT * 2 ** (attempt - 1))
             try:
                 resp = self.session.post(
-                    url, json={"texts": clipped}, headers=cfg.headers, timeout=60
+                    url, json={"texts": texts}, headers=cfg.headers, timeout=60
                 )
             except requests.RequestException as exc:
                 last_err = exc
@@ -158,7 +146,7 @@ class RemoteProvider:
                 raise RemoteUnavailableError(
                     f"{url} returned a body without a numeric 'vectors' array: {exc!r}"
                 ) from exc
-            if body.get("dim") != cfg.dim or vectors.shape != (len(clipped), cfg.dim):
+            if body.get("dim") != cfg.dim or vectors.shape != (len(texts), cfg.dim):
                 raise DimensionMismatchError(
                     f"service returned dim {body.get('dim')} / shape {vectors.shape}, "
                     f"expected dim {cfg.dim}"
@@ -167,7 +155,7 @@ class RemoteProvider:
                 raise RemoteUnavailableError("service returned non-finite vectors")
             return vectors
         raise RemoteUnavailableError(
-            f"embedding service failed after {cfg.max_retries} attempts: {last_err}"
+            f"embedding service failed after {MAX_RETRIES} attempts: {last_err}"
         )
 
 
@@ -178,14 +166,21 @@ def get_provider(config: EmbeddingProviderConfig):
 
 
 def embed_batch(config: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
-    return get_provider(config).embed_batch(texts)
+    return embed_texts(get_provider(config), texts)
 
 
 def embed_texts(provider, texts: Sequence[str]) -> np.ndarray:
-    """Embed an arbitrarily long list by slicing into provider batches."""
+    """The rows of `texts`, in one preallocated array filled `batch_size` at a
+    time; the one path from texts to rows. Each text is cut to `truncate_chars`
+    once, before lowercasing (which can change the length); an empty list, or a
+    text empty after the cut (named by its index), is an EmptyInputError."""
     cfg = provider.config
-    chunks = [
-        provider.embed_batch(texts[i : i + cfg.batch_size])
-        for i in range(0, len(texts), cfg.batch_size)
-    ]
-    return np.vstack(chunks)
+    if not texts:
+        raise EmptyInputError("no texts to embed")
+    X = np.empty((len(texts), cfg.dim))
+    for start in range(0, len(texts), cfg.batch_size):
+        batch = [text[: cfg.truncate_chars] for text in texts[start : start + cfg.batch_size]]
+        if not all(batch):
+            raise EmptyInputError(f"text {start + batch.index('')} empty after truncation")
+        X[start : start + len(batch)] = provider.embed_batch(batch)
+    return X

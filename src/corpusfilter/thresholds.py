@@ -13,6 +13,8 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import NoReturn
 
 import numpy as np
@@ -39,6 +41,7 @@ from .errors import (
 
 HISTOGRAM_BINS = 100
 PERCENTILE_PRESETS = (30.0, 60.0, 90.0, 95.0)
+FLAG_REL_DIFF = 0.1  # see compare_scores
 
 
 @dataclass
@@ -93,24 +96,23 @@ def score_corpus(
 ) -> int:
     """Score every document in the corpus and write one record per line.
 
-    Shards are scored independently (optionally in parallel) and fragments
-    merged in manifest order, so the output is deterministic for any
-    worker count. The file is written atomically: an error leaves the
-    previous one in place.
+    Shards are scored on `workers` threads, and each shard's records are
+    written in manifest order as soon as it is scored: the output is the same
+    for any worker count, and memory holds one shard per worker plus any
+    scored shard the writer has not reached yet. The file is written
+    atomically: an error leaves the previous one in place.
     """
     if provider_config.dim != clf.dim:
         raise DimensionMismatchError(
             f"provider dim {provider_config.dim} != classifier dim {clf.dim}"
         )
-    provider = get_provider(provider_config)
+    score = partial(_score_shard, provider=get_provider(provider_config), clf=clf)
     paths = manifest.shard_paths
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # only here: ~10 ms to import
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            fragments = list(pool.map(lambda p: _score_shard(p, provider, clf), paths))
-    else:
-        fragments = [_score_shard(p, provider, clf) for p in paths]
-    return write_json_lines(out_path, (rec for fragment in fragments for rec in fragment))
+            return write_json_lines(out_path, chain.from_iterable(pool.map(score, paths)))
+    return write_json_lines(out_path, chain.from_iterable(map(score, paths)))
 
 
 def _read_score_records(path: str):
@@ -274,12 +276,10 @@ def estimate_threshold(
     return thresholds_from_scores(scores, [percentile], strategy, manifest.corpus_name)[0]
 
 
-def compare_scores(
-    s_first: np.ndarray, s_random: np.ndarray, percentile: float, flag_rel_diff: float = 0.1
-) -> dict:
+def compare_scores(s_first: np.ndarray, s_random: np.ndarray, percentile: float) -> dict:
     """The first-file and random-files thresholds at `percentile`, from the
     scores of the two samples, and whether they differ by more than
-    `flag_rel_diff` of the larger."""
+    FLAG_REL_DIFF of the larger."""
     tau_first = estimate_percentile_threshold(s_first, percentile)
     tau_random = estimate_percentile_threshold(s_random, percentile)
     denom = max(tau_first, tau_random)
@@ -288,7 +288,7 @@ def compare_scores(
         "tau_first": tau_first,
         "tau_random": tau_random,
         "rel_diff": rel_diff,
-        "flagged": rel_diff > flag_rel_diff,
+        "flagged": rel_diff > FLAG_REL_DIFF,
     }
 
 
@@ -300,7 +300,6 @@ def compare_sampling_strategies(
     n_random: int,
     seed: int,
     max_docs: int = 100_000,
-    flag_rel_diff: float = 0.1,
 ) -> dict:
     """Check that the cheap first-file threshold agrees with a random-shard one.
 
@@ -309,4 +308,4 @@ def compare_sampling_strategies(
     """
     first, rand = FirstFile(), RandomFiles(n_random, seed)
     scores = sample_scores(manifest, provider_config, clf, [first, rand], max_docs)
-    return compare_scores(scores[first], scores[rand], percentile, flag_rel_diff)
+    return compare_scores(scores[first], scores[rand], percentile)

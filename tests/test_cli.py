@@ -9,7 +9,7 @@ import yaml
 
 import corpusfilter
 
-from corpusfilter import cli
+from corpusfilter import cli, corpus_io
 from corpusfilter.classifier import load_classifier
 from corpusfilter.cli import check_config, load_config, main
 from corpusfilter.corpus_io import (
@@ -547,6 +547,25 @@ BAD_CONFIGS = {
                                      "datasets": [{"name": "a", "manifest": c["corpus"]["manifest"],
                                                    "max_docs": 0}]}),
         "clusters.datasets[0].max_docs must be at least 1, not 0"),
+    "workers_zero": ("score", lambda c: c.update(workers=0), "workers must be at least 1, not 0"),
+    "embedding_dim_zero": ("score", lambda c: c["embedding"].update(dim=0),
+                           "embedding.dim must be at least 1, not 0"),
+    "embedding_batch_size_zero": ("train-filter", lambda c: c["embedding"].update(batch_size=0),
+                                  "embedding.batch_size must be at least 1, not 0"),
+    "embedding_truncate_chars_zero": (
+        "train-filter", lambda c: c["embedding"].update(truncate_chars=0),
+        "embedding.truncate_chars must be at least 1, not 0"),
+    "plan_steps_zero": ("plan", lambda c: c.update(plan={**PLAN, "steps": 0}),
+                        "plan.steps must be at least 1, not 0"),
+    "plan_batch_size_zero": ("plan", lambda c: c.update(plan={**PLAN, "batch_size": 0}),
+                             "plan.batch_size must be at least 1, not 0"),
+    "plan_context_len_zero": ("plan", lambda c: c.update(plan={**PLAN, "context_len": 0}),
+                              "plan.context_len must be at least 1, not 0"),
+    "plan_model_params_zero": ("plan", lambda c: c.update(plan={**PLAN, "model_params": 0}),
+                               "plan.model_params must be positive, not 0.0"),
+    "plan_language_weight_zero": (
+        "plan", lambda c: c.update(plan={**PLAN, "languages": [{"lang": "en", "weight": 0}]}),
+        "plan.languages[0].weight must be positive, not 0.0"),
 }
 
 
@@ -563,6 +582,19 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, name):
     assert f"config key {key}" in capsys.readouterr().err
     assert not os.path.exists(cfg["output_dir"])
     assert embedded == []  # the config is checked before any work
+
+
+def test_hashed_dim_below_8_stops_train_filter_before_any_shard_is_read(tmp_path, capsys,
+                                                                      monkeypatch):
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    cfg["embedding"]["dim"] = 4
+    write_config(cfg_path, cfg)
+    opened = []
+    monkeypatch.setattr(corpus_io.ShardStream, "__init__", lambda self, path: opened.append(path))
+    assert run("train-filter", cfg_path) == 2
+    assert "hashed embedding dim must be at least 8" in capsys.readouterr().err
+    assert not os.path.exists(cfg["output_dir"])
+    assert opened == []
 
 
 def test_integral_values_pass_int_keys():
@@ -667,6 +699,8 @@ BAD_ANNOTATIONS = {
     "no_text": b'{"score": 3}',
     "text_not_a_string": b'{"text": 5, "score": 3}',
     "lone_surrogate": b'{"text": "lone \\ud800", "score": 3}',
+    "empty_text": b'{"text": "", "score": 3}',
+    "blank_text": b'{"text": " \\t\\n\\u00a0", "score": 3}',
 }
 
 

@@ -5,11 +5,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from corpusfilter import embedding
 from corpusfilter.embedding import (
     EmbeddingProviderConfig,
     RemoteProvider,
     embed_batch,
     embed_texts,
+    get_provider,
     hashed_ngram_embed,
 )
 from corpusfilter.errors import (
@@ -22,6 +24,7 @@ from corpusfilter.errors import (
 
 from conftest import hashed_config, make_text
 from fnv_spec import spec_counts
+from test_kernels import multibyte_texts
 import random
 
 
@@ -120,6 +123,16 @@ def test_embed_batch_empty_input():
         embed_batch(hashed_config(), [])
 
 
+def test_embed_texts_rows_do_not_depend_on_the_batch_size():
+    # mixed-width texts, each longer than truncate_chars
+    texts = [(t + " ") * 20 for t in multibyte_texts() if t]
+    texts += [make_text(random.Random(i), 0.5) for i in range(300)]
+    rows = [embed_texts(get_provider(hashed_config(dim=64, truncate_chars=20, batch_size=b)),
+                        texts) for b in (1, 7, 256)]
+    assert all(len(t) > 20 for t in texts)
+    assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2])
+
+
 # ---------------------------------------------------------------- remote
 
 
@@ -127,12 +140,14 @@ class MockEmbedHandler(BaseHTTPRequestHandler):
     dim = 384
     fail_first = 0
     calls = []
+    texts = []  # the texts of each request
     mode = "vectors"  # or "not_json", "no_vectors": a bad 200 response
 
     def do_POST(self):
         cls = type(self)
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         cls.calls.append(len(body["texts"]))
+        cls.texts.append(body["texts"])
         if cls.fail_first > 0:
             cls.fail_first -= 1
             self.send_response(503)
@@ -158,10 +173,12 @@ class MockEmbedHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def mock_server():
+def mock_server(monkeypatch):
+    monkeypatch.setattr(embedding, "RETRY_WAIT", 0.01)
     MockEmbedHandler.dim = 384
     MockEmbedHandler.fail_first = 0
     MockEmbedHandler.calls = []
+    MockEmbedHandler.texts = []
     MockEmbedHandler.mode = "vectors"
     server = HTTPServer(("127.0.0.1", 0), MockEmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -171,9 +188,7 @@ def mock_server():
 
 
 def remote_config(endpoint, **kw):
-    return EmbeddingProviderConfig(
-        kind="remote", dim=384, endpoint=endpoint, retry_wait=0.01, **kw
-    )
+    return EmbeddingProviderConfig(kind="remote", dim=384, endpoint=endpoint, **kw)
 
 
 def test_remote_returns_aligned_vectors(mock_server):
@@ -223,3 +238,24 @@ def test_embed_texts_batches(mock_server):
     X = embed_texts(provider, ["a", "b", "c", "d", "e"])
     assert X.shape == (5, 384)
     assert MockEmbedHandler.calls == [2, 2, 1]
+
+
+def test_remote_batch_reaches_the_service_already_cut(mock_server):
+    provider = RemoteProvider(remote_config(mock_server, batch_size=2, truncate_chars=5))
+    X = embed_texts(provider, ["abcdefgh", "xy", "éèêëēėę"])
+    assert X.shape == (3, 384)
+    assert MockEmbedHandler.texts == [["abcde", "xy"], ["éèêëē"]]
+
+
+@pytest.mark.parametrize("kind", ["hashed_ngram", "remote"])
+def test_embed_texts_owns_the_input_rule(mock_server, kind):
+    cfg = EmbeddingProviderConfig(kind=kind, dim=384, endpoint=mock_server, batch_size=256)
+    provider = get_provider(cfg)
+    with pytest.raises(EmptyInputError):
+        embed_texts(provider, [])
+    texts = [make_text(random.Random(i), 0.5) for i in range(400)]
+    texts[300] = ""
+    # the index is in the whole list, not in its batch (300 - 256 = 44)
+    with pytest.raises(EmptyInputError, match="text 300 empty after truncation"):
+        embed_texts(provider, texts)
+    assert sum(MockEmbedHandler.calls) == (256 if kind == "remote" else 0)

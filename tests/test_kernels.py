@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from corpusfilter import kernels
-from corpusfilter.embedding import EmbeddingProviderConfig, get_provider, hashed_ngram_embed
+from corpusfilter.embedding import (
+    EmbeddingProviderConfig,
+    embed_texts,
+    get_provider,
+    hashed_ngram_embed,
+)
 
 from conftest import make_text
 from fnv_spec import spec_counts
@@ -66,7 +71,7 @@ def test_batch_row_equals_text_alone():
 def test_provider_batch_equals_single_text_embedding():
     cfg = EmbeddingProviderConfig(kind="hashed_ngram", dim=64, truncate_chars=12)
     texts = [t for t in multibyte_texts() if len(t) > 2] + ascii_texts(5)
-    X = get_provider(cfg).embed_batch(texts)
+    X = embed_texts(get_provider(cfg), texts)
     for text, row in zip(texts, X):
         assert np.array_equal(row, hashed_ngram_embed(text[:12], 64, cfg.ngram_range, cfg.seed))
         counts = spec_counts(text[:12].lower(), 64, 2, 4, 0)

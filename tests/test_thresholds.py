@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpusfilter.classifier import score_batch
+from corpusfilter.classifier import LinearClassifier, score_batch
 from corpusfilter.corpus_io import (
     CorpusManifest,
     Document,
@@ -502,3 +502,29 @@ def test_filter_memory_does_not_grow_with_text_length(tmp_path):
     short = filter_peak_bytes(tmp_path, 500)
     long = filter_peak_bytes(tmp_path, 5000)
     assert long <= 1.2 * short, (short, long)
+
+
+def test_score_memory_does_not_grow_with_shard_count(tmp_path):
+    # score writes each shard's records as that shard is scored, so one
+    # worker holds one shard, never the corpus
+    paths = []
+    for s in range(8):
+        path = tmp_path / f"shard_{s}.jsonl"
+        path.write_text("".join(
+            doc_to_line(Document(id=f"s{s}_{i}", text=f"doc {i} of shard {s}", lang="en",
+                                 source="syn")) + "\n"
+            for i in range(1500)
+        ), encoding="utf-8")
+        paths.append(str(path))
+    clf = LinearClassifier(w=np.linspace(-1.0, 1.0, 8), b=0.0, dim=8)
+    peaks = []
+    for shards in (paths[:1], paths):
+        manifest = CorpusManifest(corpus_name="c", lang="en", shard_paths=shards)
+        tracemalloc.start()
+        try:
+            count = score_corpus(manifest, hashed_config(dim=8), clf, str(tmp_path / "s.jsonl"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert count == 1500 * len(shards)
+    assert peaks[1] < 1.5 * peaks[0], peaks
