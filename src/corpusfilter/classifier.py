@@ -196,12 +196,13 @@ def evaluate(clf: LinearClassifier, X: np.ndarray, y: np.ndarray) -> dict:
 def binarize_fwe_annotations(records: list[dict]) -> list[tuple[str, int]]:
     """Convert 0..5 educational-quality annotations to binary labels.
 
-    A record is high quality when its annotation score is 2 or above.
+    A record is high quality when its annotation score, a JSON integer in
+    0..5, is 2 or above.
     """
     out = []
     for rec in records:
         s = rec["score"]
-        if not isinstance(s, int) or not 0 <= s <= 5:
+        if type(s) is not int or not 0 <= s <= 5:
             raise ScoreOutOfRangeError(f"annotation score {s!r} outside 0..5")
         out.append((rec["text"], 1 if s >= 2 else 0))
     return out
@@ -222,23 +223,7 @@ def save_classifier(clf: LinearClassifier, path: str) -> None:
 
 
 def load_classifier(path: str) -> LinearClassifier:
-    rec = load_json_object(path, "classifier", ("w", "b", "dim", "normalize_inputs"))
-    w, b, dim = rec["w"], rec["b"], rec["dim"]
-    # type(), not isinstance: a bool is an int
-    if not isinstance(w, list) or any(type(v) not in (int, float) for v in w):
-        raise DataError(f"classifier {path}: 'w' must be a list of numbers")
-    if type(b) not in (int, float):
-        raise DataError(f"classifier {path}: 'b' must be a number")
-    if type(dim) is not int:
-        raise DataError(f"classifier {path}: 'dim' must be an integer")
-    return LinearClassifier(
-        w=np.array(w, dtype=np.float64),
-        b=float(b),
-        dim=dim,
-        normalize_inputs=bool(rec["normalize_inputs"]),
-        trained_on=rec.get("trained_on", ""),
-        seed=int(rec.get("seed", 0)),
-        version=rec.get("version", VERSION),
-        l2_lambda=float(rec.get("l2_lambda", 0.0)),
-        train_loss=rec.get("train_loss"),
-    )
+    return LinearClassifier(**load_json_object(
+        path, "classifier", {"w": [float], "b": float, "dim": int, "normalize_inputs": bool},
+        {"trained_on": str, "seed": int, "version": str, "l2_lambda": float, "train_loss": float},
+    ))

@@ -25,6 +25,7 @@ import json
 import os
 import re
 import sys
+from typing import Iterator
 
 import numpy as np
 import yaml
@@ -34,7 +35,7 @@ from . import classifier as clf_mod
 from . import clustering, corpus_io, planner, thresholds
 from .corpus_io import FirstFile, RandomFiles, atomic_write, load_manifest, read_shard, write_json
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
-from .errors import ConfigError, DataError, EmptyCorpusError, ToolkitError
+from .errors import ConfigError, DataError, EmptyCorpusError, ScoreOutOfRangeError, ToolkitError
 
 ENDPOINT_ENV = "CORPUSFILTER_EMBED_ENDPOINT"
 TOKEN_ENV = "CORPUSFILTER_EMBED_TOKEN"
@@ -159,22 +160,21 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _read_annotations(path: str) -> list[dict]:
-    records = []
+def _read_annotations(path: str) -> Iterator[dict]:
     for line_no, _, rec in corpus_io.read_json_lines(path):
+        where = f"{path}:{line_no}: annotation"
         if isinstance(rec, ValueError):  # JSONDecodeError or UnicodeDecodeError
-            raise DataError(f"{path}:{line_no}: annotation is not UTF-8 JSON: {rec}") from rec
-        if type(rec) is not dict or type(rec.get("text")) is not str or "score" not in rec:
-            raise DataError(f"{path}:{line_no}: annotation is not an object with a "
-                            "string 'text' and a 'score'")
+            raise DataError(f"{where} is not UTF-8 JSON: {rec}") from rec
+        rec = corpus_io.check_fields(rec, where, {"text": str, "score": int})
         if not rec["text"] or rec["text"].isspace():  # the rule of Document.validate
-            raise DataError(f"{path}:{line_no}: annotation text is empty or whitespace only")
+            raise DataError(f"{where} text is empty or whitespace only")
+        if not 0 <= rec["score"] <= 5:
+            raise ScoreOutOfRangeError(f"{where} score {rec['score']} is outside 0..5")
         try:
             corpus_io._require_utf8("text", rec["text"])
         except ValueError as exc:  # a lone surrogate from a \ud800 escape
-            raise DataError(f"{path}:{line_no}: annotation {exc}") from exc
-        records.append(rec)
-    return records
+            raise DataError(f"{where} {exc}") from exc
+        yield rec
 
 
 def _load_seed_documents(train_cfg: dict) -> tuple[list[str], list[int], str]:
@@ -228,9 +228,9 @@ def _scores_path(cfg: dict) -> str:
 
 
 def cmd_score(cfg: dict, stamp: dict) -> int:
+    pcfg = provider_config(cfg)  # its checks come before any file is read
     manifest = load_manifest(cfg["corpus"]["manifest"])
     clf = clf_mod.load_classifier(cfg["classifier"])
-    pcfg = provider_config(cfg)
     out_path = _scores_path(cfg)
     count = thresholds.score_corpus(manifest, pcfg, clf, out_path, workers=cfg.get("workers", 1))
     print(f"scored {count} documents -> {out_path}")
@@ -238,9 +238,9 @@ def cmd_score(cfg: dict, stamp: dict) -> int:
 
 
 def cmd_threshold(cfg: dict, stamp: dict) -> int:
+    pcfg = provider_config(cfg)  # its checks come before any file is read
     manifest = load_manifest(cfg["corpus"]["manifest"])
     clf = clf_mod.load_classifier(cfg["classifier"])
-    pcfg = provider_config(cfg)
     th_cfg = cfg["threshold"]
     seed = cfg.get("seed", 0)
     first, rand = FirstFile(), RandomFiles(n=th_cfg.get("n_random", 10), seed=seed)
@@ -280,18 +280,9 @@ def _resolve_tau(cfg: dict) -> float:
     report_path = os.path.join(_out_dir(cfg), "threshold_report.json")
     percentile = f_cfg.get("percentile", 90.0)
     if os.path.exists(report_path):
-        report = corpus_io.load_json_object(report_path, "threshold report", ("estimates",))
-        estimates = report["estimates"]
-        # type(), not isinstance: a bool is an int
-        if not isinstance(estimates, list) or not all(
-            isinstance(e, dict) and {type(e.get("percentile")), type(e.get("tau"))} <= {int, float}
-            for e in estimates
-        ):
-            raise DataError(
-                f"threshold report {report_path}: 'estimates' must be a list of objects "
-                "with a numeric 'percentile' and 'tau'"
-            )
-        for e in estimates:
+        report = corpus_io.load_json_object(report_path, "threshold report",
+                                            {"estimates": [{"percentile": float, "tau": float}]})
+        for e in report["estimates"]:
             if abs(e["percentile"] - percentile) < 1e-9:
                 return float(e["tau"])
     raise ConfigError(

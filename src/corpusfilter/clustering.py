@@ -122,13 +122,11 @@ def _finite_row_norms(X: np.ndarray) -> np.ndarray:
     return xx
 
 
-def _sq_distances(X: np.ndarray, C: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
+def _sq_distances(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
     """(n, K) squared distances from each row of X to each row of C in the
     expanded form, computed one block of rows at a time; `xx` holds the
-    rows' squared norms when the caller has them."""
+    rows' squared norms."""
     cc = _row_norms(C)
-    if xx is None:
-        xx = _row_norms(X)
     D = np.empty((X.shape[0], C.shape[0]))
     for lo in range(0, X.shape[0], _BLOCK_ROWS):
         blk, out = X[lo : lo + _BLOCK_ROWS], D[lo : lo + _BLOCK_ROWS]
@@ -168,17 +166,15 @@ def _direct_sq_distances(
 
 
 def _kmeans_pp_init(
-    X: np.ndarray, K: int, rng: np.random.Generator, xx: np.ndarray | None = None
+    X: np.ndarray, K: int, rng: np.random.Generator, xx: np.ndarray
 ) -> np.ndarray:
     """k-means++ seeds with `d2` in the direct form. After the first seed,
     the direct form runs only on the rows a new seed may bring closer: a row
     whose expanded distance exceeds its `d2` by more than the `_TIE_RTOL`
     slack has a direct distance of at least `d2` as well (see the module
     docstring), so its `d2`, and every later draw, is what a full pass gives.
-    `xx` holds the rows' squared norms when the caller has them."""
+    `xx` holds the rows' squared norms."""
     n = X.shape[0]
-    if xx is None:
-        xx = _row_norms(X)
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
     d2 = _direct_sq_distances(X, centroids[0])
@@ -356,21 +352,10 @@ def save_cluster_model(model: ClusterModel, path: str) -> None:
 
 
 def load_cluster_model(path: str) -> ClusterModel:
-    ints = ("K", "dim", "capacity", "seed")
-    rec = load_json_object(path, "cluster model", ints + ("centroids",))
-    for key in ints:
-        if type(rec[key]) is not int:  # type(), not isinstance: a bool is an int
-            raise DataError(f"cluster model {path}: {key!r} must be an integer")
+    rec = load_json_object(path, "cluster model", {
+        "K": int, "dim": int, "capacity": int, "seed": int, "centroids": [float]})
     K, dim, centroids = rec["K"], rec["dim"], rec["centroids"]
-    if not isinstance(centroids, list) or any(type(v) not in (int, float) for v in centroids):
-        raise DataError(f"cluster model {path}: 'centroids' must be a list of numbers")
     if K < 1 or dim < 1 or len(centroids) != K * dim:
         raise DataError(f"cluster model {path}: 'centroids' holds {len(centroids)} numbers, "
                         f"not K * dim = {K} * {dim}, with K and dim at least 1")
-    return ClusterModel(
-        centroids=np.array(centroids, dtype=np.float64).reshape(K, dim),
-        K=K,
-        dim=dim,
-        capacity=rec["capacity"],
-        seed=rec["seed"],
-    )
+    return ClusterModel(**{**rec, "centroids": np.reshape(centroids, (K, dim))})

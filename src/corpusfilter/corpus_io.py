@@ -55,6 +55,12 @@ class CorpusManifest:
         if not self.shard_paths:
             raise DataError(f"manifest {self.corpus_name!r} has no shards")
         self.shard_paths = sorted(self.shard_paths)
+        names: dict[str, str] = {}  # a name keys a shard's score records and filtered copy
+        for path in self.shard_paths:
+            if (name := os.path.basename(path)) in names:
+                raise DataError(f"manifest {self.corpus_name!r} lists shards {names[name]} "
+                                f"and {path}, both named {name!r}")
+            names[name] = path
 
 
 class MalformedRecord(NamedTuple):
@@ -163,7 +169,7 @@ def _record_to_doc(rec, raw: bytes) -> Document:
     line raises ValueError or DataError, whose message is the reason."""
     if type(rec) is not dict:
         raise rec if isinstance(rec, ValueError) else ValueError("record is not an object")
-    for name in REQUIRED_FIELDS:
+    for name in REQUIRED_FIELDS:  # `check_fields`' rule, inline as it runs once a line
         if type(rec.get(name)) is not str:
             raise ValueError(f"field {name!r} is not a string" if name in rec
                              else f"missing field {name!r}")
@@ -275,37 +281,60 @@ def sample_documents(
     return docs
 
 
-def load_json_object(path: str, kind: str, required: Iterable[str]) -> dict:
-    """The JSON object in `path`. A DataError names the file when it is not
-    JSON, not an object, or lacks one of the `required` keys."""
+# The field rule for the JSON the program reads back. A table maps a field to its kind,
+# as `cli.CONFIG_KEYS` writes it: str, int, float (an int or a float), bool, [kind] for a
+# list, or {name: kind} for an object. By type(), not isinstance: a bool is an int too.
+_SCALARS = {str: ((str,), "a string"), int: ((int,), "an integer"),
+            float: ((int, float), "a number"), bool: ((bool,), "a bool")}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, type):
+        return type(value) in _SCALARS[kind][0]
+    if isinstance(kind, list):
+        return type(value) is list and all(map(_is_kind, value, itertools.repeat(kind[0])))
+    return type(value) is dict and all(
+        name in value and _is_kind(value[name], sub) for name, sub in kind.items())
+
+
+def _kind_name(kind) -> str:
+    """`kind` in words, such as "a list of numbers"."""
+    if isinstance(kind, list):  # the plural: no article, and an s on the noun
+        _, noun, *rest = _kind_name(kind[0]).split(" ", 2)
+        return " ".join(["a list of", noun + "s", *rest])
+    if isinstance(kind, dict):
+        return "an object with " + " and ".join(
+            f"{_kind_name(sub)} {name!r}" for name, sub in kind.items())
+    return _SCALARS[kind][1]
+
+
+def check_fields(rec, where: str, fields: dict, optional: dict = {}) -> dict:
+    """`rec`'s fields that the tables `fields` (required) and `optional` name, checked, not
+    converted; other keys are ignored, and an optional field that is absent or null is left
+    out, to take its default. A DataError begins with `where`."""
+    if type(rec) is not dict:
+        raise DataError(f"{where} is not a JSON object")
+    out = {}
+    for name, kind in {**fields, **optional}.items():
+        if name in optional and rec.get(name) is None:
+            continue
+        if name not in rec or not _is_kind(rec[name], kind):
+            raise DataError(f"{where}: {name!r} must be {_kind_name(kind)}" if name in rec
+                            else f"{where} has no {name!r} key")
+        out[name] = rec[name]
+    return out
+
+
+def load_json_object(path: str, kind: str, fields: dict, optional: dict = {}) -> dict:
+    """`check_fields` of the JSON object in the `kind` of file at `path`."""
     with open(path, encoding="utf-8") as fh:
         try:
             rec = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise DataError(f"{kind} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise DataError(f"{kind} {path} is not a JSON object")
-    for key in required:
-        if key not in rec:
-            raise DataError(f"{kind} {path} has no {key!r} key")
-    return rec
+    return check_fields(rec, f"{kind} {path}", fields, optional)
 
 
 def load_manifest(path: str) -> CorpusManifest:
-    rec = load_json_object(path, "manifest", ("corpus_name", "lang", "shards"))
-    shards = rec["shards"]
-    if not isinstance(shards, list) or not all(isinstance(p, str) for p in shards):
-        raise DataError(f"manifest {path}: 'shards' must be a list of path strings")
-    return CorpusManifest(
-        corpus_name=rec["corpus_name"],
-        lang=rec["lang"],
-        shard_paths=list(shards),
-    )
-
-
-def save_manifest(manifest: CorpusManifest, path: str) -> None:
-    write_json(path, {
-        "corpus_name": manifest.corpus_name,
-        "lang": manifest.lang,
-        "shards": manifest.shard_paths,
-    })
+    rec = load_json_object(path, "manifest", {"corpus_name": str, "lang": str, "shards": [str]})
+    return CorpusManifest(rec["corpus_name"], rec["lang"], rec["shards"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .kernels import hashed_ngram_counts, hashed_ngram_matrix
-
-if TYPE_CHECKING:
-    import requests
 
 MAX_RETRIES = 3  # attempts per remote batch
 RETRY_WAIT = 0.5  # seconds before the second attempt, doubled before each later one
@@ -63,7 +60,8 @@ class EmbeddingProviderConfig:
 
 def _check_hashed_dim(dim: int) -> None:
     if dim < 8:
-        raise ConfigError("hashed embedding dim must be at least 8")
+        raise ConfigError(
+            f"config key embedding.dim: hashed embedding dim must be at least 8, not {dim}")
 
 
 def _unit_rows(counts: np.ndarray, texts: Sequence[str]) -> np.ndarray:
@@ -113,11 +111,11 @@ class RemoteProvider:
     exponential backoff; a batch is never partially accepted.
     """
 
-    def __init__(self, config: EmbeddingProviderConfig, session: requests.Session | None = None):
+    def __init__(self, config: EmbeddingProviderConfig):
         import requests
 
         self.config = config
-        self.session = session or requests.Session()
+        self.session = requests.Session()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Rows of a batch cut by `embed_texts`, sent as it is in one request."""

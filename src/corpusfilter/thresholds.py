@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import NoReturn
 
 import numpy as np
@@ -96,22 +97,29 @@ def score_corpus(
 ) -> int:
     """Score every document in the corpus and write one record per line.
 
-    Shards are scored on `workers` threads, and each shard's records are
-    written in manifest order as soon as it is scored: the output is the same
-    for any worker count, and memory holds one shard per worker plus any
-    scored shard the writer has not reached yet. The file is written
-    atomically: an error leaves the previous one in place.
+    Shards are scored on `workers` threads, at most `2 * workers` ahead of
+    the writer, and each shard's records are written in manifest order as
+    soon as it is scored: the output is the same for any worker count, and
+    memory holds at most that many shards. The file is written atomically:
+    an error leaves the previous one in place.
     """
     if provider_config.dim != clf.dim:
         raise DimensionMismatchError(
             f"provider dim {provider_config.dim} != classifier dim {clf.dim}"
         )
     score = partial(_score_shard, provider=get_provider(provider_config), clf=clf)
-    paths = manifest.shard_paths
+    paths = iter(manifest.shard_paths)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # only here: ~10 ms to import
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return write_json_lines(out_path, chain.from_iterable(pool.map(score, paths)))
+            ahead = deque(pool.submit(score, p) for p in islice(paths, 2 * workers))
+
+            def in_order():
+                while ahead:
+                    yield ahead.popleft().result()
+                    ahead.extend(pool.submit(score, p) for p in islice(paths, 1))
+
+            return write_json_lines(out_path, chain.from_iterable(in_order()))
     return write_json_lines(out_path, chain.from_iterable(map(score, paths)))
 
 
@@ -127,7 +135,7 @@ def _read_score_records(path: str):
         if type(doc_id) is not str:
             raise DataError(f"{path}:{line_no}: doc_id {doc_id!r} is not a string")
         score = rec.get("score")
-        # type(), not isinstance: a bool is an int
+        # corpus_io's field rule, inline as it runs once a line: a bool is an int
         if type(score) not in (float, int) or not 0.0 <= score <= 1.0:
             raise DataError(
                 f"{path}:{line_no}: document {doc_id!r} has score {score!r}, "

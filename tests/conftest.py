@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corpusfilter.classifier import TrainConfig, train_logistic
-from corpusfilter.corpus_io import CorpusManifest, Document, write_shard
+from corpusfilter.corpus_io import CorpusManifest, Document, write_json, write_shard
 from corpusfilter.embedding import EmbeddingProviderConfig, get_provider
 
 # two word pools with distinct character statistics so that hashed n-gram
@@ -58,6 +58,12 @@ def make_corpus(tmp_path, n_shards, docs_per_shard, seed=0, name="syncorpus", qu
         write_shard(path, docs)
         paths.append(path)
     return CorpusManifest(corpus_name=name, lang="en", shard_paths=paths)
+
+
+def save_manifest(manifest: CorpusManifest, path: str) -> None:
+    """Write `manifest` as the file that `corpus_io.load_manifest` reads."""
+    write_json(path, {"corpus_name": manifest.corpus_name, "lang": manifest.lang,
+                      "shards": manifest.shard_paths})
 
 
 def hashed_config(dim=64, seed=0, **kw):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corpusfilter.classifier import (
+    VERSION,
     LinearClassifier,
     TrainConfig,
     binarize_fwe_annotations,
@@ -229,6 +230,8 @@ def test_binarize_rejects_out_of_range():
         binarize_fwe_annotations([{"text": "t", "score": 6}])
     with pytest.raises(ScoreOutOfRangeError):
         binarize_fwe_annotations([{"text": "t", "score": -1}])
+    with pytest.raises(ScoreOutOfRangeError):  # a bool is not a score
+        binarize_fwe_annotations([{"text": "t", "score": True}])
 
 
 def test_classifier_file_roundtrip(tmp_path):
@@ -245,6 +248,16 @@ def test_classifier_file_roundtrip(tmp_path):
     path2 = str(tmp_path / "clf2.json")
     save_classifier(back, path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+def test_classifier_file_null_optional_fields_take_their_defaults(tmp_path):
+    path = tmp_path / "clf.json"
+    path.write_text(json.dumps({"w": [0.5, -0.5], "b": 0.1, "dim": 2, "normalize_inputs": False,
+                                "seed": None, "trained_on": None, "l2_lambda": None}))
+    clf = load_classifier(str(path))
+    assert (clf.seed, clf.trained_on, clf.version, clf.l2_lambda, clf.train_loss) == (
+        0, "", VERSION, 0.0, None)
+    assert clf.normalize_inputs is False and clf.w.tolist() == [0.5, -0.5]
 
 
 def test_save_classifier_error_mid_dump_keeps_old_file(tmp_path, monkeypatch):

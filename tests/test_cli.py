@@ -15,14 +15,13 @@ from corpusfilter.cli import check_config, load_config, main
 from corpusfilter.corpus_io import (
     CorpusManifest,
     read_shard,
-    save_manifest,
     write_json,
     write_shard,
 )
 from corpusfilter.embedding import HashedNgramProvider
 from corpusfilter.thresholds import compare_sampling_strategies
 
-from conftest import hashed_config, make_corpus, make_docs
+from conftest import hashed_config, make_corpus, make_docs, save_manifest
 from test_embedding import MockEmbedHandler, mock_server  # noqa: F401
 
 
@@ -345,6 +344,17 @@ MALFORMED_INPUTS = {
         "classifier", '{"w": [0.5], "b": "0.1", "dim": 1, "normalize_inputs": true}', 3, "'b'"),
     "classifier_dim_not_an_integer": (
         "classifier", '{"w": [0.5], "b": 0.0, "dim": "1", "normalize_inputs": true}', 3, "'dim'"),
+    "classifier_seed_not_an_integer": (
+        "classifier", '{"w": [0.5], "b": 0.0, "dim": 1, "normalize_inputs": true, "seed": "abc"}',
+        3, "'seed'"),
+    "classifier_l2_lambda_a_list": (
+        "classifier", '{"w": [0.5], "b": 0.0, "dim": 1, "normalize_inputs": true, "l2_lambda": [1]}',
+        3, "'l2_lambda'"),
+    "classifier_normalize_inputs_not_a_bool": (
+        "classifier", '{"w": [0.5], "b": 0.0, "dim": 1, "normalize_inputs": "no"}', 3,
+        "'normalize_inputs'"),
+    "manifest_corpus_name_not_a_string": (
+        "manifest", '{"corpus_name": 5, "lang": "fr", "shards": ["a.jsonl"]}', 3, "'corpus_name'"),
     "config_not_yaml": ("config", "seed: [0\nclassifier: {\n", 2, None),
 }
 
@@ -398,6 +408,27 @@ def test_filtered_output_matches_rescoring_oracle(tmp_path):
         for doc in read_shard(path):
             s = clf_mod.score(clf, embed_batch(pcfg, [doc.text])[0])
             assert (doc.id in kept_ids) == (s > tau), doc.id
+
+
+def test_filter_rejects_two_shards_of_one_name_before_any_work(tmp_path, capsys):
+    # each would be written to the same filtered shard, the second over the first
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    paths, records = [], []
+    for d in "ab":
+        (tmp_path / d).mkdir()
+        paths.append(str(tmp_path / d / "shard.jsonl"))
+        docs = make_docs(5, seed=ord(d), prefix=d)
+        write_shard(paths[-1], docs)
+        records += [{"doc_id": doc.id, "score": 0.9, "shard": "shard.jsonl"} for doc in docs]
+    write_json(cfg["corpus"]["manifest"], {"corpus_name": "c", "lang": "en", "shards": paths})
+    os.makedirs(cfg["output_dir"])
+    corpus_io.write_json_lines(cfg["scores"], records)
+    cfg["filter"] = {"tau": 0.5, "out_dir": str(tmp_path / "filtered")}
+    write_config(cfg_path, cfg)
+    assert run("filter", cfg_path) == 3
+    err = capsys.readouterr().err
+    assert paths[0] in err and paths[1] in err
+    assert not os.path.exists(cfg["filter"]["out_dir"])
 
 
 def test_filter_rejects_duplicate_ids_naming_both_shards(tmp_path, capsys):
@@ -548,6 +579,8 @@ BAD_CONFIGS = {
                                                    "max_docs": 0}]}),
         "clusters.datasets[0].max_docs must be at least 1, not 0"),
     "workers_zero": ("score", lambda c: c.update(workers=0), "workers must be at least 1, not 0"),
+    "embedding_dim_below_8": ("score", lambda c: c["embedding"].update(dim=4),
+                              "embedding.dim: hashed embedding dim must be at least 8, not 4"),
     "embedding_dim_zero": ("score", lambda c: c["embedding"].update(dim=0),
                            "embedding.dim must be at least 1, not 0"),
     "embedding_batch_size_zero": ("train-filter", lambda c: c["embedding"].update(batch_size=0),
@@ -701,6 +734,8 @@ BAD_ANNOTATIONS = {
     "lone_surrogate": b'{"text": "lone \\ud800", "score": 3}',
     "empty_text": b'{"text": "", "score": 3}',
     "blank_text": b'{"text": " \\t\\n\\u00a0", "score": 3}',
+    "score_a_bool": b'{"text": "t", "score": true}',
+    "score_out_of_range": b'{"text": "t", "score": 7}',
 }
 
 

@@ -15,6 +15,7 @@ from corpusfilter.clustering import (
     _cluster_means,
     _direct_sq_distances,
     _kmeans_pp_init,
+    _row_norms,
     _sq_distances,
     assign_batch,
     fit_balanced_kmeans,
@@ -270,7 +271,7 @@ def seeding_inputs():
 def test_kmeans_pp_init_equals_the_choice_reference():
     for X, K in seeding_inputs():
         for seed in range(3):
-            got = _kmeans_pp_init(X, K, np.random.default_rng(seed))
+            got = _kmeans_pp_init(X, K, np.random.default_rng(seed), _row_norms(X))
             assert got.tobytes() == reference_seeds(X, K, seed).tobytes()
 
 
@@ -388,7 +389,7 @@ def test_sq_distances_match_direct_form():
     C = rng.normal(size=(5, 7))
     direct = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
     scale = (X * X).sum(axis=1)[:, None] + (C * C).sum(axis=1)[None, :]
-    assert np.all(np.abs(_sq_distances(X, C) - direct) <= 1e-12 * scale)
+    assert np.all(np.abs(_sq_distances(X, C, _row_norms(X)) - direct) <= 1e-12 * scale)
 
 
 def test_near_tie_goes_to_lowest_id():
@@ -400,7 +401,7 @@ def test_near_tie_goes_to_lowest_id():
     C = np.stack([x + v, x - v])
     direct = ((x - C) ** 2).sum(axis=1)
     assert direct[0] <= direct[1]
-    assert np.argmin(_sq_distances(x[None, :], C)[0]) == 1
+    assert np.argmin(_sq_distances(x[None, :], C, _row_norms(x[None, :]))[0]) == 1
     model = ClusterModel(centroids=C, K=2, dim=8, capacity=1, seed=0)
     assert assign_batch(model, x[None, :])[0] == 0
 

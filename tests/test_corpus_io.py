@@ -10,17 +10,17 @@ from corpusfilter.corpus_io import (
     Document,
     FirstFile,
     RandomFiles,
+    check_fields,
     load_manifest,
     parse_json_line,
     read_shard,
     sample_documents,
-    save_manifest,
     write_shard,
 )
 from corpusfilter.errors import DataError, EmptyCorpusError
 from corpusfilter.thresholds import _read_score_records
 
-from conftest import make_corpus, make_docs
+from conftest import make_corpus, make_docs, save_manifest
 
 
 def test_read_valid_shard(tmp_path):
@@ -216,19 +216,56 @@ def test_manifest_roundtrip_and_sorted(tmp_path):
     assert load_manifest(p) == m
 
 
-def test_save_manifest_error_mid_dump_keeps_old_file(tmp_path, monkeypatch):
-    path = tmp_path / "m.json"
-    path.write_text("old\n")
+@pytest.mark.parametrize("paths", [["a/shard.jsonl", "b/shard.jsonl"],
+                                   ["a/shard.jsonl", "a/shard.jsonl"]])
+def test_manifest_rejects_two_shards_of_one_name(paths):
+    # a shard's name keys its score records and its filtered copy
+    with pytest.raises(DataError) as err:
+        CorpusManifest(corpus_name="c", lang="en", shard_paths=["c/other.jsonl", *paths])
+    assert f"shards {paths[0]} and {paths[1]}, both named 'shard.jsonl'" in str(err.value)
 
-    def broken_dump(obj, fh, **kwargs):
-        fh.write('{"corpus_name": ')
-        raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", broken_dump)
-    with pytest.raises(OSError):
-        save_manifest(CorpusManifest(corpus_name="c", lang="fr", shard_paths=["a"]), str(path))
-    assert path.read_text() == "old\n"
-    assert not list(tmp_path.glob("*.tmp"))
+FIELD_RULE = [
+    # (kind, value, whether it is of that kind)
+    (str, "s", True), (str, 5, False), (str, None, False),
+    (int, 3, True), (int, True, False), (int, 3.0, False), (int, "3", False),
+    (float, 3, True), (float, 0.5, True), (float, False, False), (float, "0.5", False),
+    (bool, True, True), (bool, 1, False), (bool, "no", False),
+    ([float], [1, 2.5], True), ([float], [], True), ([float], [1, True], False),
+    ([float], 5, False), ([str], ["a", 1], False),
+    ([{"tau": float}], [{"tau": 1, "stamp": "x"}], True), ([{"tau": float}], [{}], False),
+    ([{"tau": float}], [{"tau": "x"}], False), ([{"tau": float}], [[1]], False),
+]
+
+
+@pytest.mark.parametrize("kind,value,ok", FIELD_RULE)
+def test_check_fields_checks_kinds_not_only_keys(kind, value, ok):
+    rec = {"x": value, "stamp": "ignored"}
+    if ok:
+        assert check_fields(rec, "file f", {"x": kind}) == {"x": value}
+    else:
+        with pytest.raises(DataError, match="^file f: 'x' must be "):
+            check_fields(rec, "file f", {"x": kind})
+
+
+def test_check_fields_messages_and_optional_fields():
+    report = {"estimates": [{"percentile": 90, "tau": None}]}
+    kind = {"estimates": [{"percentile": float, "tau": float}]}
+    with pytest.raises(DataError, match="^r: 'estimates' must be a list of objects with a "
+                                        "number 'percentile' and a number 'tau'$"):
+        check_fields(report, "r", kind)
+    with pytest.raises(DataError, match="^r has no 'estimates' key$"):
+        check_fields({}, "r", kind)
+    with pytest.raises(DataError, match="^r is not a JSON object$"):
+        check_fields([report], "r", kind)
+    # an optional field that is absent or null is left out; one that is set is checked
+    optional = {"seed": int, "lang": str}
+    assert check_fields({"n": 1, "seed": None}, "r", {"n": int}, optional) == {"n": 1}
+    assert check_fields({"n": 1, "lang": "fr"}, "r", {"n": int}, optional) == {"n": 1, "lang": "fr"}
+    with pytest.raises(DataError, match="^r: 'seed' must be an integer$"):
+        check_fields({"n": 1, "seed": "abc"}, "r", {"n": int}, optional)
+    with pytest.raises(DataError, match="^r: 'n' must be an integer$"):  # required, so not null
+        check_fields({"n": None}, "r", {"n": int}, optional)
 
 
 def test_first_file_sampling(tmp_path):

@@ -59,3 +59,35 @@ def test_only_corpus_io_opens_and_parses_files():
                 if isinstance(node, ast.ImportFrom) and node.module in ("io", "gzip", "json"):
                     found.append(f"{where}: from {node.module} import")
     assert found == ["cli.py:load_config: open"]  # the YAML config
+
+
+# top-level names that nothing in src/ names, each kept for a reason
+UNNAMED_IN_SRC = {
+    "load_cluster_model": "reads the cluster_model.json that the clusters command writes",
+    "loss_and_gradient": "the gradient oracle of acceptance criterion 01",
+}
+
+
+def traced_names() -> set[str]:
+    """The function and class names that perfbench/spans.py's TRACED wraps."""
+    with open(os.path.join(REPO, "perfbench", "spans.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (table,) = (node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    return {key.value.split(".")[0] for layer in table.values for key in layer.keys}
+
+
+def test_every_top_level_function_and_class_is_named_in_src():
+    defined, named = set(), set()
+    for module in glob.glob(os.path.join(REPO, "src", "corpusfilter", "*.py")):
+        with open(module, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(own)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    named.add(name)
+    assert sorted(defined - named - traced_names() - UNNAMED_IN_SRC.keys()) == []

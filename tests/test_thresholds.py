@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,36 @@ def test_score_corpus_worker_count_invariant(tmp_path, seed_classifier):
     score_corpus(manifest, cfg, clf, out1, workers=1)
     score_corpus(manifest, cfg, clf, out4, workers=4)
     assert open(out1, "rb").read() == open(out4, "rb").read()
+
+
+def test_score_workers_run_a_bounded_window_ahead_of_the_writer(tmp_path, monkeypatch):
+    # the first shard waits until every other shard is scored, or half a
+    # second: with a window of 2 * workers shards, only 3 others can be
+    from corpusfilter import thresholds
+
+    manifest = make_corpus(tmp_path, n_shards=12, docs_per_shard=3)
+    first = manifest.shard_paths[0]
+    clf = LinearClassifier(w=np.linspace(-1.0, 1.0, 8), b=0.0, dim=8)
+    score_shard = thresholds._score_shard
+    scored, others_done, ahead = [], threading.Event(), []
+
+    def first_slow(path, provider, clf):
+        if path == first:
+            others_done.wait(timeout=0.5)
+            ahead.append(len(scored))  # scored, and not written: the first is not yet
+        records = score_shard(path, provider, clf)
+        scored.append(path)
+        if len(scored) == len(manifest.shard_paths) - 1 and first not in scored:
+            others_done.set()
+        return records
+
+    monkeypatch.setattr(thresholds, "_score_shard", first_slow)
+    out2, out1 = str(tmp_path / "w2.jsonl"), str(tmp_path / "w1.jsonl")
+    score_corpus(manifest, hashed_config(dim=8), clf, out2, workers=2)
+    assert ahead == [3]
+    monkeypatch.setattr(thresholds, "_score_shard", score_shard)
+    score_corpus(manifest, hashed_config(dim=8), clf, out1, workers=1)
+    assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
 def test_score_corpus_constant_classifier(tmp_path):
