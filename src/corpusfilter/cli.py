@@ -25,7 +25,6 @@ import json
 import os
 import re
 import sys
-from typing import Iterator
 
 import numpy as np
 import yaml
@@ -33,9 +32,9 @@ import yaml
 from . import __version__
 from . import classifier as clf_mod
 from . import clustering, corpus_io, planner, thresholds
-from .corpus_io import FirstFile, RandomFiles, atomic_write, load_manifest, read_shard, write_json
+from .corpus_io import FirstFile, RandomFiles, load_manifest, read_shard, write_json
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
-from .errors import ConfigError, DataError, EmptyCorpusError, ScoreOutOfRangeError, ToolkitError
+from .errors import ConfigError, EmptyCorpusError, ToolkitError
 
 ENDPOINT_ENV = "CORPUSFILTER_EMBED_ENDPOINT"
 TOKEN_ENV = "CORPUSFILTER_EMBED_TOKEN"
@@ -71,6 +70,8 @@ AT_LEAST = {"workers": 1, "embedding.dim": 1, "embedding.batch_size": 1,
             "plan.steps": 1, "plan.batch_size": 1, "plan.context_len": 1}
 POSITIVE = {"train.learning_rate", "train.tolerance", "plan.model_params",
             "plan.languages.weight"}
+# list keys whose entries differ in the given key: each names a column or a histogram
+UNIQUE = {"report.scores": "name", "clusters.datasets": "name"}
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -85,9 +86,10 @@ class Section(dict):
 def check_config(value, kind=CONFIG_KEYS, key: str = ""):
     """`value` of the config key `key` checked against its `kind` in CONFIG_KEYS.
     Numbers are converted, not type-checked: YAML 1.1 reads `1e-4` as a string.
-    But a bool is not a number, an int key takes no fraction, and a key in
-    AT_LEAST or POSITIVE takes nothing out of bounds. A null value is absent,
-    an absent section is empty, a list becomes a tuple."""
+    But a bool is not a number, an int key takes no fraction, a key in
+    AT_LEAST or POSITIVE takes nothing out of bounds, and no two entries of a
+    UNIQUE list share a name. A null value is absent, an absent section is
+    empty, a list becomes a tuple."""
     if isinstance(kind, dict):
         value = {} if value is None else value
         if not isinstance(value, dict):
@@ -107,7 +109,13 @@ def check_config(value, kind=CONFIG_KEYS, key: str = ""):
         if isinstance(kind, tuple) and len(value) != len(kind):
             raise ConfigError(f"config key {key} must be a list of {len(kind)} "
                               f"{kind[0].__name__} values, not {value!r}")
-        return tuple(check_config(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value))
+        items = tuple(check_config(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value))
+        names = [item.get(UNIQUE[key]) for item in items] if key in UNIQUE else []
+        for i, name in enumerate(names):
+            if name is not None and name in names[:i]:
+                raise ConfigError(f"config key {key}[{i}].{UNIQUE[key]} repeats {name!r}, "
+                                  f"the name of entry {names.index(name)}")
+        return items
     if kind in (str, bool) and not isinstance(value, kind):
         raise ConfigError(f"config key {key} must be a {kind.__name__}, not {value!r}")
     if kind in (int, float) and isinstance(value, bool):
@@ -160,23 +168,6 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _read_annotations(path: str) -> Iterator[dict]:
-    for line_no, _, rec in corpus_io.read_json_lines(path):
-        where = f"{path}:{line_no}: annotation"
-        if isinstance(rec, ValueError):  # JSONDecodeError or UnicodeDecodeError
-            raise DataError(f"{where} is not UTF-8 JSON: {rec}") from rec
-        rec = corpus_io.check_fields(rec, where, {"text": str, "score": int})
-        if not rec["text"] or rec["text"].isspace():  # the rule of Document.validate
-            raise DataError(f"{where} text is empty or whitespace only")
-        if not 0 <= rec["score"] <= 5:
-            raise ScoreOutOfRangeError(f"{where} score {rec['score']} is outside 0..5")
-        try:
-            corpus_io._require_utf8("text", rec["text"])
-        except ValueError as exc:  # a lone surrogate from a \ud800 escape
-            raise DataError(f"{where} {exc}") from exc
-        yield rec
-
-
 def _load_seed_documents(train_cfg: dict) -> tuple[list[str], list[int], str]:
     """Texts, labels and provenance; pops the seed-document keys from `train_cfg`."""
     texts: list[str] = []
@@ -190,7 +181,7 @@ def _load_seed_documents(train_cfg: dict) -> tuple[list[str], list[int], str]:
             origins.append(f"{key}:{os.path.basename(path)}")
     ann_path = train_cfg.pop("annotations", None)
     if ann_path:
-        for text, y in clf_mod.binarize_fwe_annotations(_read_annotations(ann_path)):
+        for text, y in clf_mod.binarize_fwe_annotations(corpus_io.read_annotations(ann_path)):
             texts.append(text)
             labels.append(y)
         origins.append(f"annotations:{os.path.basename(ann_path)}")
@@ -352,12 +343,8 @@ def cmd_clusters(cfg: dict, stamp: dict) -> int:
 
     # plot-ready CSV: one row per cluster, one column per dataset
     csv_path = os.path.join(out, "cluster_histograms.csv")
-    with atomic_write(csv_path) as fh:
-        fh.write("cluster," + ",".join(names) + "\n")
-        for j in range(K):
-            fh.write(
-                f"{j}," + ",".join(str(int(h.counts[j])) for h in histograms) + "\n"
-            )
+    corpus_io.write_csv(csv_path, [["cluster", *names]] + [
+        [j, *(int(h.counts[j]) for h in histograms)] for j in range(K)])
     print(f"fitted K={K} clusters; histograms -> {csv_path}")
     return 0
 
@@ -408,15 +395,9 @@ def cmd_report(cfg: dict, stamp: dict) -> int:
     write_json(out, report)
 
     csv_path = os.path.join(_out_dir(cfg), "percentile_table.csv")
-    names = list(columns)
-    with atomic_write(csv_path) as fh:
-        fh.write("percentile," + ",".join(names) + "\n")
-        for p in sorted(percentiles, reverse=True):
-            fh.write(
-                f"{p:g},"
-                + ",".join(f"{columns[n][f'{p:g}']:.6f}" for n in names)
-                + "\n"
-            )
+    corpus_io.write_csv(csv_path, [["percentile", *columns]] + [
+        [f"{p:g}", *(f"{col[f'{p:g}']:.6f}" for col in columns.values())]
+        for p in sorted(percentiles, reverse=True)])
     print(f"percentile table -> {csv_path}")
     return 0
 

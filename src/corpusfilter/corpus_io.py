@@ -5,8 +5,9 @@ Shards are JSONL files, one document per line, with fields `id`, `text`,
 shards of one corpus; shard order is always lexicographic by path so that
 "first file" means the same thing on every platform.
 
-Every JSON and JSONL file is read and written here. The line reader takes
-a file in blocks of whole lines of about `BLOCK_BYTES`, so memory holds one
+Every file format is read and written here: shards, manifests, score
+records, annotations, JSON reports and CSV tables. The line reader takes a
+file in blocks of whole lines of about `BLOCK_BYTES`, so memory holds one
 block (or one longer line). A shard reader still hands out each document
 with the raw bytes of its line (`ShardStream.line`).
 """
@@ -14,6 +15,8 @@ with the raw bytes of its line (`ShardStream.line`).
 from __future__ import annotations
 
 import contextlib
+import csv
+import errno
 import gzip
 import itertools
 import json
@@ -22,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DataError, EmptyCorpusError
+from .errors import DataError, EmptyCorpusError, ScoreOutOfRangeError
 
 REQUIRED_FIELDS = ("id", "text", "lang", "source")
 BLOCK_BYTES = 1 << 16  # file buffer size, and the size hint of one `readlines` call
@@ -104,12 +107,25 @@ def write_json(path: str, obj, indent: int | None = 2) -> None:
         fh.write("\n")
 
 
-def write_json_lines(path: str, records: Iterable[dict]) -> int:
-    """Write one JSON object per line like `write_json`; returns the count."""
+def write_csv(path: str, rows: Iterable[list]) -> None:
+    """Write `rows` to `path` atomically as CSV, lines ended by `\n`; a cell is
+    quoted only when it holds a comma, a quote or a line break."""
+    with atomic_write(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def write_score_records(path: str, runs: Iterable[tuple[str, list[str], list[float]]]) -> int:
+    """Write a `{"doc_id", "score", "shard"}` record per line for each run of
+    (shard name, ids, scores), the bytes of `json.dumps(rec, ensure_ascii=False,
+    sort_keys=True)` for a finite score; returns the count."""
+    enc = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(s, ensure_ascii=False)
     count = 0
     with atomic_write(path) as fh:
-        for count, rec in enumerate(records, 1):
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+        for shard, ids, scores in runs:
+            tail = ', "shard": ' + enc(shard) + "}\n"
+            fh.writelines(['{"doc_id": ' + enc(doc_id) + ', "score": ' + repr(score) + tail
+                           for doc_id, score in zip(ids, scores)])
+            count += len(ids)
     return count
 
 
@@ -120,11 +136,11 @@ def doc_to_line(doc: Document) -> str:
     return json.dumps(rec, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def _require_utf8(name: str, value: str) -> None:
+def _require_utf8(name: str, value: str, where: str = "") -> None:
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ValueError(f"field {name!r} is not valid Unicode: {exc.reason}") from None
+        raise DataError(f"{where}field {name!r} is not valid Unicode: {exc.reason}") from None
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -203,7 +219,7 @@ class ShardStream:
 
     def __init__(self, path: str):
         if not os.path.exists(path):
-            raise FileNotFoundError(path)
+            raise FileNotFoundError(errno.ENOENT, "no such shard file", path)
         self.path = path
         self.malformed: list[MalformedRecord] = []
         self.line = b""
@@ -221,6 +237,42 @@ class ShardStream:
 
 def read_shard(path: str) -> ShardStream:
     return ShardStream(path)
+
+
+def read_score_records(path: str):
+    """Yield (doc_id, score, shard) per record of a score file, skipping
+    blank lines. A record that is not a JSON object, whose doc_id is not a
+    string, or whose score is not a number in [0, 1] is a DataError naming
+    its line."""
+    for line_no, _, rec in read_json_lines(path):
+        if type(rec) is not dict:
+            raise DataError(f"{path}:{line_no}: score record is not a JSON object")
+        doc_id = rec.get("doc_id")
+        if type(doc_id) is not str:
+            raise DataError(f"{path}:{line_no}: doc_id {doc_id!r} is not a string")
+        score = rec.get("score")
+        # `check_fields`' rule, inline as it runs once a line: a bool is an int
+        if type(score) not in (float, int) or not 0.0 <= score <= 1.0:
+            raise DataError(
+                f"{path}:{line_no}: document {doc_id!r} has score {score!r}, "
+                "not a number in [0, 1]"
+            )
+        yield doc_id, float(score), rec.get("shard")
+
+
+def read_annotations(path: str) -> Iterator[dict]:
+    """The `{"text", "score"}` records of an annotation file, each checked."""
+    for line_no, _, rec in read_json_lines(path):
+        where = f"{path}:{line_no}: annotation"
+        if isinstance(rec, ValueError):  # JSONDecodeError or UnicodeDecodeError
+            raise DataError(f"{where} is not UTF-8 JSON: {rec}") from rec
+        rec = check_fields(rec, where, {"text": str, "score": int})
+        if not rec["text"] or rec["text"].isspace():  # the rule of Document.validate
+            raise DataError(f"{where} text is empty or whitespace only")
+        if not 0 <= rec["score"] <= 5:
+            raise ScoreOutOfRangeError(f"{where} score {rec['score']} is outside 0..5")
+        _require_utf8("text", rec["text"], f"{where} ")  # a lone surrogate, from a \ud800 escape
+        yield rec
 
 
 def write_shard(path: str, docs: Iterable[Document]) -> int:

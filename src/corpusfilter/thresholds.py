@@ -15,7 +15,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from typing import NoReturn
 
 import numpy as np
@@ -25,11 +25,11 @@ from .corpus_io import (
     CorpusManifest,
     FirstFile,
     RandomFiles,
-    read_json_lines,
+    read_score_records,
     read_shard,
     sample_documents,
     shard_writer,
-    write_json_lines,
+    write_score_records,
 )
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
 from .errors import (
@@ -75,17 +75,13 @@ def estimate_percentile_threshold(scores, percentile: float) -> float:
     return float(np.sort(scores)[rank - 1])
 
 
-def _score_shard(path: str, provider, clf) -> list[dict]:
+def _score_shard(path: str, provider, clf) -> tuple[str, list[str], list[float]]:
+    """(shard name, ids, scores) of the documents of the shard at `path`."""
     docs = list(read_shard(path))
     if not docs:
-        return []
-    X = embed_texts(provider, [d.text for d in docs])
-    scores = clf_mod.score_batch(clf, X)
-    shard = os.path.basename(path)
-    return [
-        {"doc_id": d.id, "score": float(s), "shard": shard}
-        for d, s in zip(docs, scores)
-    ]
+        return os.path.basename(path), [], []
+    scores = clf_mod.score_batch(clf, embed_texts(provider, [d.text for d in docs]))
+    return os.path.basename(path), [d.id for d in docs], scores.tolist()
 
 
 def score_corpus(
@@ -119,38 +115,17 @@ def score_corpus(
                     yield ahead.popleft().result()
                     ahead.extend(pool.submit(score, p) for p in islice(paths, 1))
 
-            return write_json_lines(out_path, chain.from_iterable(in_order()))
-    return write_json_lines(out_path, chain.from_iterable(map(score, paths)))
-
-
-def _read_score_records(path: str):
-    """Yield (doc_id, score, shard) per record of a score file, skipping
-    blank lines. A record that is not a JSON object, whose doc_id is not a
-    string, or whose score is not a number in [0, 1] is a DataError naming
-    its line."""
-    for line_no, _, rec in read_json_lines(path):
-        if type(rec) is not dict:
-            raise DataError(f"{path}:{line_no}: score record is not a JSON object")
-        doc_id = rec.get("doc_id")
-        if type(doc_id) is not str:
-            raise DataError(f"{path}:{line_no}: doc_id {doc_id!r} is not a string")
-        score = rec.get("score")
-        # corpus_io's field rule, inline as it runs once a line: a bool is an int
-        if type(score) not in (float, int) or not 0.0 <= score <= 1.0:
-            raise DataError(
-                f"{path}:{line_no}: document {doc_id!r} has score {score!r}, "
-                "not a number in [0, 1]"
-            )
-        yield doc_id, float(score), rec.get("shard")
+            return write_score_records(out_path, in_order())
+    return write_score_records(out_path, map(score, paths))
 
 
 def load_scores(path: str) -> dict[str, float]:
     """Map each doc_id to its score; a doc_id seen twice is a DataError,
     since the filter could not tell the two documents apart."""
     scores: dict[str, float] = {}
-    for doc_id, score, shard in _read_score_records(path):
+    for doc_id, score, shard in read_score_records(path):
         if doc_id in scores:
-            first = next(r[2] for r in _read_score_records(path) if r[0] == doc_id)
+            first = next(r[2] for r in read_score_records(path) if r[0] == doc_id)
             raise DataError(
                 f"{path}: document id {doc_id!r} is scored in shard {first!r} "
                 f"and again in shard {shard!r}"
@@ -184,7 +159,7 @@ def apply_filter(
     sorted 8-byte hashes of all ids so far, which catch an id that repeats.
     """
     os.makedirs(out_dir, exist_ok=True)
-    records = _read_score_records(scores_path)
+    records = read_score_records(scores_path)
     seen = np.empty(0, dtype=np.int64)  # sorted hashes of the ids so far
     hist = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     docs_in = 0

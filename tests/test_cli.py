@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -326,6 +327,57 @@ def test_report_command_percentile_table(tmp_path):
     assert taus == sorted(taus, reverse=True)
 
 
+# column names that CSV must quote: a comma, a quote, a line break
+QUOTED_NAMES = ["a,b", 'say "hi"', "two\nlines"]
+
+
+def read_csv_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows)
+    return header, rows
+
+
+def test_report_csv_quotes_names(tmp_path):
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=20)
+    for cmd in ("train-filter", "score"):
+        assert run(cmd, cfg_path) == 0
+    cfg["report"] = {"scores": [{"name": n, "path": cfg["scores"]} for n in QUOTED_NAMES]}
+    write_config(cfg_path, cfg)
+    assert run("report", cfg_path) == 0
+    header, rows = read_csv_table(os.path.join(cfg["output_dir"], "percentile_table.csv"))
+    assert header == ["percentile", *QUOTED_NAMES]
+    assert [row[0] for row in rows] == ["90", "60", "30"]
+
+
+def test_clusters_csv_quotes_names(tmp_path):
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=20)
+    manifest = cfg["corpus"]["manifest"]
+    cfg["clusters"] = {"k": 4, "fit": {"manifest": manifest},
+                       "datasets": [{"name": n, "manifest": manifest} for n in QUOTED_NAMES]}
+    write_config(cfg_path, cfg)
+    assert run("clusters", cfg_path) == 0
+    header, rows = read_csv_table(os.path.join(cfg["output_dir"], "cluster_histograms.csv"))
+    assert header == ["cluster", *QUOTED_NAMES]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+
+
+@pytest.mark.parametrize("name", ["nope/shard.jsonl", "a\ud800.jsonl"])  # a lone surrogate
+@pytest.mark.parametrize("command", ["score", "filter"])
+def test_missing_shard_names_the_path(tmp_path, capsys, command, name):
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    assert run("train-filter", cfg_path) == 0
+    missing = str(tmp_path / name)
+    with open(cfg["corpus"]["manifest"], "w") as fh:  # JSON escapes the surrogate
+        json.dump({"corpus_name": "c", "lang": "en", "shards": [missing]}, fh)
+    cfg["filter"] = {"tau": 0.5}
+    write_config(cfg_path, cfg)
+    open(cfg["scores"], "w").close()
+    assert run(command, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert "no such shard file" in err and repr(missing) in err
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["score", "-c", str(tmp_path / "nope.yaml")]) == 2
 
@@ -413,16 +465,16 @@ def test_filtered_output_matches_rescoring_oracle(tmp_path):
 def test_filter_rejects_two_shards_of_one_name_before_any_work(tmp_path, capsys):
     # each would be written to the same filtered shard, the second over the first
     cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
-    paths, records = [], []
+    paths, runs = [], []
     for d in "ab":
         (tmp_path / d).mkdir()
         paths.append(str(tmp_path / d / "shard.jsonl"))
         docs = make_docs(5, seed=ord(d), prefix=d)
         write_shard(paths[-1], docs)
-        records += [{"doc_id": doc.id, "score": 0.9, "shard": "shard.jsonl"} for doc in docs]
+        runs.append(("shard.jsonl", [doc.id for doc in docs], [0.9] * len(docs)))
     write_json(cfg["corpus"]["manifest"], {"corpus_name": "c", "lang": "en", "shards": paths})
     os.makedirs(cfg["output_dir"])
-    corpus_io.write_json_lines(cfg["scores"], records)
+    corpus_io.write_score_records(cfg["scores"], runs)
     cfg["filter"] = {"tau": 0.5, "out_dir": str(tmp_path / "filtered")}
     write_config(cfg_path, cfg)
     assert run("filter", cfg_path) == 3
@@ -596,6 +648,15 @@ BAD_CONFIGS = {
                               "plan.context_len must be at least 1, not 0"),
     "plan_model_params_zero": ("plan", lambda c: c.update(plan={**PLAN, "model_params": 0}),
                                "plan.model_params must be positive, not 0.0"),
+    "report_names_repeat": (
+        "report", lambda c: c.update(report={"scores": [{"name": "x", "path": c["scores"]}] * 2}),
+        "report.scores[1].name repeats 'x'"),
+    "clusters_dataset_names_repeat": (
+        "clusters",
+        lambda c: c.update(clusters={"k": 2, "fit": {"manifest": c["corpus"]["manifest"]},
+                                     "datasets": [{"name": "d",
+                                                   "manifest": c["corpus"]["manifest"]}] * 2}),
+        "clusters.datasets[1].name repeats 'd'"),
     "plan_language_weight_zero": (
         "plan", lambda c: c.update(plan={**PLAN, "languages": [{"lang": "en", "weight": 0}]}),
         "plan.languages[0].weight must be positive, not 0.0"),

@@ -2,7 +2,7 @@ import gzip
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusfilter.corpus_io import (
@@ -13,12 +13,13 @@ from corpusfilter.corpus_io import (
     check_fields,
     load_manifest,
     parse_json_line,
+    read_score_records,
     read_shard,
     sample_documents,
+    write_score_records,
     write_shard,
 )
 from corpusfilter.errors import DataError, EmptyCorpusError
-from corpusfilter.thresholds import _read_score_records
 
 from conftest import make_corpus, make_docs, save_manifest
 
@@ -200,6 +201,25 @@ def test_roundtrip_property(tmp_path_factory, pairs):
     assert list(read_shard(path)) == docs
 
 
+EDGE_SCORES = [0.0, 1.0, 5e-324, 1 - 2**-53]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.lists(st.tuples(
+    st.text(), st.one_of(st.sampled_from(EDGE_SCORES), st.floats(0, 1)))))))
+@example([("s\u2028.jsonl", [('q"b\\é中\u2028', s) for s in EDGE_SCORES]), ("", [])])
+def test_score_records_template_is_json_dumps(tmp_path_factory, shards):
+    path = str(tmp_path_factory.getbasetemp() / "scores.jsonl")
+    runs = [(name, [r[0] for r in recs], [r[1] for r in recs]) for name, recs in shards]
+    records = [{"doc_id": doc_id, "score": score, "shard": name}
+               for name, recs in shards for doc_id, score in recs]
+    assert write_score_records(path, runs) == len(records)
+    with open(path, "rb") as fh:
+        assert fh.read() == "".join(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n"
+                                    for rec in records).encode()
+    assert list(read_score_records(path)) == [tuple(rec.values()) for rec in records]
+
+
 def test_write_rejects_invalid_doc(tmp_path):
     path = str(tmp_path / "bad.jsonl")
     with pytest.raises(DataError):
@@ -352,7 +372,7 @@ def test_parse_json_line_is_json_loads_on_fuzzed_lines(tmp_path_factory, line):
 
 
 def check_readers_on(tmp_path_factory, line: bytes):
-    """read_shard and _read_score_records on `line` between two valid lines
+    """read_shard and read_score_records on `line` between two valid lines
     agree with the references below, line numbers and reasons included."""
     path = str(tmp_path_factory.getbasetemp() / "fuzzed.jsonl")
     with open(path, "wb") as fh:
@@ -422,7 +442,7 @@ def score_line(doc_id: str) -> bytes:
 def score_records_or_error_line(path: str):
     records = []
     try:
-        for rec in _read_score_records(path):
+        for rec in read_score_records(path):
             records.append(rec)
     except DataError as exc:
         prefix = f"{path}:"

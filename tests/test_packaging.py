@@ -31,8 +31,10 @@ def test_sdist_holds_every_module_and_the_entry_point(tmp_path):
     assert "corpusfilter = corpusfilter.cli:main" in entry_text
 
 
-# calls that open, parse or dump a file; only corpus_io makes them
-FILE_CALLS = {"open", "io.open", "gzip.open", "json.load", "json.dump"}
+# calls that open, parse, dump or format a file; only corpus_io makes them
+FILE_CALLS = {"open", "io.open", "gzip.open", "json.load", "json.dump", "atomic_write",
+              "csv.writer"}
+FILE_MODULES = ("io", "gzip", "json", "csv")
 
 
 def call_name(node: ast.Call) -> str:
@@ -56,7 +58,7 @@ def test_only_corpus_io_opens_and_parses_files():
                 if isinstance(node, ast.Call) and call_name(node) in FILE_CALLS:
                     found.append(f"{where}: {call_name(node)}")
                 # no way round the names above, as in `from json import load`
-                if isinstance(node, ast.ImportFrom) and node.module in ("io", "gzip", "json"):
+                if isinstance(node, ast.ImportFrom) and node.module in FILE_MODULES:
                     found.append(f"{where}: from {node.module} import")
     assert found == ["cli.py:load_config: open"]  # the YAML config
 

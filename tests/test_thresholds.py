@@ -13,6 +13,7 @@ from corpusfilter.corpus_io import (
     Document,
     FirstFile,
     doc_to_line,
+    read_score_records,
     read_shard,
     write_shard,
 )
@@ -24,7 +25,6 @@ from corpusfilter.errors import (
     PercentileOutOfRangeError,
 )
 from corpusfilter.thresholds import (
-    _read_score_records,
     apply_filter,
     compare_sampling_strategies,
     estimate_percentile_threshold,
@@ -237,19 +237,20 @@ def test_score_write_error_keeps_the_old_scores(tmp_path, seed_classifier, monke
     path = out_dir / "scores.jsonl"
     assert score_corpus(manifest, hashed_config(), clf, str(path)) == 10
     before = path.read_bytes()
-    dumps = json.dumps
-    calls = []
+    second = os.path.basename(manifest.shard_paths[1])
+    encode = json.JSONEncoder.encode
+    encoded = []
 
-    def dumps_then_fail(obj, **kwargs):
-        calls.append(obj)
-        if len(calls) > 1:
+    def encode_then_fail(self, obj):
+        if obj == second:
             raise OSError("disk full")
-        return dumps(obj, **kwargs)
+        encoded.append(obj)
+        return encode(self, obj)
 
-    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+    monkeypatch.setattr(json.JSONEncoder, "encode", encode_then_fail)
     with pytest.raises(OSError):
         score_corpus(manifest, hashed_config(), clf, str(path))
-    assert len(calls) == 2  # the first record was written, the second failed
+    assert len(encoded) == 6  # the first shard's name and its 5 ids; the second's name failed
     assert path.read_bytes() == before
     assert os.listdir(out_dir) == ["scores.jsonl"]
 
@@ -401,7 +402,7 @@ def test_score_file_skips_blank_lines_and_accepts_leading_whitespace(tmp_path):
         b"\n"
         b'{"doc_id": "c", "score": 0, "shard": "y"}'  # no newline at the end
     )
-    records = list(_read_score_records(str(path)))
+    records = list(read_score_records(str(path)))
     assert records == [("a", 0.25, "x"), ("b", 1.0, "x"), ("c", 0.0, "y")]
     assert [type(r[1]) for r in records] == [float] * 3
     assert load_scores(str(path)) == {"a": 0.25, "b": 1.0, "c": 0.0}
@@ -416,7 +417,7 @@ def test_score_record_with_trailing_garbage_names_its_line(tmp_path, garbage):
         b'{"doc_id": "b", "score": 0.5, "shard": "x"}' + garbage + b"\n"
         b'{"doc_id": "c", "score": 0.5, "shard": "x"}\n'
     )
-    records = _read_score_records(str(path))
+    records = read_score_records(str(path))
     assert next(records) == ("a", 0.5, "x")
     message = f"{path}:3: score record is not a JSON object"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
