@@ -7,10 +7,11 @@ startup     `import corpusfilter.cli` in a fresh interpreter, which every
             command pays first: the import time and the peak RSS after it,
             median and quartiles of `--runs` runs after one untimed run that
             writes the bytecode caches, and the HTTP-stack modules loaded.
-kernel      the scalar n-gram hashing spec on the first `--spec-docs`
-            synthetic documents (ASCII plus 2- and 3-byte characters)
-            against the numpy batch kernel on all of them: Mchar/s, best of
-            the repeats, asserting that the two agree bit for bit.
+kernel      the n-gram kernel on two batches: `tests/conftest.py` `make_text`
+            prose (ASCII) and random text with 2- and 3-byte characters.
+            Per batch: the traced peak (`tracemalloc`) of one untimed call,
+            whose first `--spec-docs` rows must equal the scalar spec's bit
+            for bit, then Mchar/s, best of the repeats.
 filter      `apply_filter` at the 90th-percentile threshold, and `load_scores`
             (what `report` reads), on the `tests/conftest.py` `make_corpus`
             corpus in shards of 2500 documents, with one score record per
@@ -152,25 +153,35 @@ def kernel_result(args) -> dict:
     from corpusfilter.kernels import hashed_ngram_matrix
 
     sys.path.insert(0, TESTS)
+    from conftest import make_text
     from fnv_spec import spec_counts
 
     rng = random.Random(0)
     alphabet = string.ascii_lowercase + "     éàüö漢字"
-    docs = ["".join(rng.choice(alphabet) for _ in range(args.chars)) for _ in range(args.docs)]
-    spec_docs = docs[: args.spec_docs]
+    inputs = {
+        "mixed": ["".join(rng.choice(alphabet) for _ in range(args.chars))
+                  for _ in range(args.docs)],
+        "ascii": [make_text(rng, rng.random(), args.chars)[: args.chars]
+                  for _ in range(args.docs)],
+    }
     shape = (args.dim, args.ngram_lo, args.ngram_hi, 0)
-    spec_runs, spec = timed(lambda: np.stack([spec_counts(d, *shape) for d in spec_docs]), 1)
-    numpy_runs, batch = timed(lambda: hashed_ngram_matrix(docs, *shape), args.repeats)
-    assert np.array_equal(batch[: len(spec_docs)], spec), "the kernels disagree"
-    result = {"docs": args.docs, "chars": args.chars, "dim": args.dim,
+    result = {"docs": args.docs, "chars": args.chars, "dim": args.dim, "spec_docs": args.spec_docs,
               "ngram_lo": args.ngram_lo, "ngram_hi": args.ngram_hi, "repeats": args.repeats}
-    for name, runs, texts in (("spec", spec_runs, spec_docs), ("numpy", numpy_runs, docs)):
-        n_chars = sum(map(len, texts))
-        result.update({f"{name}_docs": len(texts), f"{name}_s": min(runs),
-                       f"{name}_runs_s": runs, f"{name}_mchar_per_s": n_chars / min(runs) / 1e6})
+    for name, docs in inputs.items():
+        spec = np.stack([spec_counts(d, *shape) for d in docs[: args.spec_docs]])
+        tracemalloc.start()  # one untimed call: its peak, its rows against the spec, a warm-up
+        batch = hashed_ngram_matrix(docs, *shape)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.array_equal(batch[: args.spec_docs], spec), f"{name}: kernel and spec disagree"
+        runs, _ = timed(lambda: hashed_ngram_matrix(docs, *shape), args.repeats)
+        n_chars = sum(map(len, docs))
+        result[name] = {"s": min(runs), "runs_s": runs, "mchar_per_s": n_chars / min(runs) / 1e6,
+                        "traced_peak_mb": peak / 1e6, "peak_bytes_per_char": peak / n_chars}
         print(f"{name:5s}: {min(runs):8.3f} s for {n_chars / 1e6:.2f}M chars "
-              f"({result[f'{name}_mchar_per_s']:6.2f} Mchar/s, best of {len(runs)})")
-    print("kernels agree bit-exactly")
+              f"({result[name]['mchar_per_s']:6.2f} Mchar/s, best of {len(runs)}), "
+              f"traced peak {peak / 1e6:.1f} MB ({peak / n_chars:.1f} B/char)")
+    print("kernel agrees bit-exactly with the spec on both inputs")
     return result
 
 

@@ -64,14 +64,18 @@ def _check_hashed_dim(dim: int) -> None:
             f"config key embedding.dim: hashed embedding dim must be at least 8, not {dim}")
 
 
-def _unit_rows(counts: np.ndarray, texts: Sequence[str]) -> np.ndarray:
-    """L2-normalise each row of signed counts; row i was hashed from texts[i]."""
+def _unit_rows(counts: np.ndarray, texts: Sequence[str], n_lo: int) -> np.ndarray:
+    """L2-normalise each row of signed counts; row i was hashed from texts[i]
+    (lowercased), whose shortest grams have n_lo characters."""
     # the counts are small integers, so each squared norm is an exact sum
     norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        # all signed counts cancelled; vanishingly rare for real text
         text = texts[zero[0]]
+        if len(text) < n_lo:
+            raise ZeroVectorError(
+                f"text {text[:40]!r} has fewer than {n_lo} characters, the shortest n-gram")
+        # all signed counts cancelled; vanishingly rare for real text
         raise ZeroVectorError(f"signed hash counts cancelled for text {text[:40]!r}")
     return counts / norms[:, None]
 
@@ -87,8 +91,9 @@ def hashed_ngram_embed(
     _check_hashed_dim(dim)
     if not text:
         raise EmptyInputError("cannot embed empty text")
-    counts = hashed_ngram_counts(text.lower(), dim, ngram_range[0], ngram_range[1], seed)
-    return _unit_rows(counts[None, :], [text])[0]
+    text = text.lower()
+    counts = hashed_ngram_counts(text, dim, ngram_range[0], ngram_range[1], seed)
+    return _unit_rows(counts[None, :], [text], ngram_range[0])[0]
 
 
 class HashedNgramProvider:
@@ -99,8 +104,8 @@ class HashedNgramProvider:
         """Unit rows of a batch cut by `embed_texts`, lowercased, in one kernel call."""
         cfg = self.config
         lo, hi = cfg.ngram_range
-        counts = hashed_ngram_matrix([t.lower() for t in texts], cfg.dim, lo, hi, cfg.seed)
-        return _unit_rows(counts, texts)
+        texts = [t.lower() for t in texts]
+        return _unit_rows(hashed_ngram_matrix(texts, cfg.dim, lo, hi, cfg.seed), texts, lo)
 
 
 class RemoteProvider:

@@ -12,12 +12,13 @@ point the embedding uses: one call per provider batch, returning the
 (len(texts), dim) signed counts. `hashed_ngram_counts` is the same for
 one text.
 
-The kernel works on a whole batch at once. FNV-1a extends byte by byte, so
-the hash of the n-gram at character j is the hash of the (n-1)-gram at j
-extended by the bytes of character j+n-1: every n costs at most four
-masked uint64 steps over the batch, and numpy's uint64 arithmetic wraps
-mod 2^64 as the hash needs. The counts are sums of +-1, exact in float64
-in any order, so the output equals a scalar loop over the grams exactly.
+The kernel hashes the batch's texts joined end to end, one pass per n.
+FNV-1a extends byte by byte, so pass n turns the (n-1)-gram hash at each
+character j into the n-gram hash in place, by the bytes of character j+n-1;
+uint64 arithmetic wraps mod 2^64 as the hash needs. A gram that starts
+less than n characters before a text's end runs into the next one and goes
+to a spill bin, dropped at the end. Each pass adds the bincount of its keys
+to one tally: sums of +-1, exact in any order, so equal to a scalar loop's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
-_PAD = 4  # lets every character read four bytes without a bounds check
 
 HASH_BACKEND = "python"  # the only backend; reported as corpusfilter.HASH_BACKEND
 
@@ -47,50 +47,39 @@ def hashed_ngram_matrix(
     """Signed n-gram counts of each text, one row per text: (len(texts), dim)."""
     n_docs = len(texts)
     raw = "".join(texts).encode("utf-8")
-    buf = np.zeros(len(raw) + _PAD, dtype=np.uint8)
-    buf[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    buf = np.frombuffer(raw + bytes(4), dtype=np.uint8)  # every character can read four bytes
     # byte offset and UTF-8 length of every character
     starts = np.flatnonzero((buf[: len(raw)] & 0xC0) != 0x80)
     n_chars = starts.size
     char_len = np.diff(starts, append=len(raw))
-    # per character: the text it is in, and the character index where that text ends
-    doc_len = np.fromiter((len(t) for t in texts), dtype=np.int64, count=n_docs)
-    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), doc_len)
-    end_of = np.repeat(np.cumsum(doc_len), doc_len)
-
     max_len = int(char_len.max()) if n_chars else 1
     byte_k = [buf[starts + k].astype(np.uint64) for k in range(max_len)]
-    has_k = [None] + [char_len > k for k in range(1, max_len)]  # every char has byte 0
-
+    doc_len = np.fromiter((len(t) for t in texts), dtype=np.int64, count=n_docs)
+    ends = np.cumsum(doc_len)
     prime = np.uint64(FNV_PRIME)
+    # a gram counts once under key 2 * (doc * dim + bucket) + sign bit, or in the spill bin
+    spill = 2 * n_docs * dim
+    row_key = np.repeat(np.arange(n_docs, dtype=np.uint64) * np.uint64(2 * dim), doc_len)
+    tally = np.zeros(spill + 1, dtype=np.int64)
     h = np.full(n_chars, _seed_state(seed & _MASK), dtype=np.uint64)
-    # each gram counts once under key 2 * (doc * dim + bucket) + sign bit
-    row_key = doc_of * (2 * dim)
-    keys = []
-    for n in range(1, n_hi + 1):
-        # extend the gram at each start j < n_chars - n + 1 by character j + n - 1
+    for n in range(1, min(n_hi, n_chars) + 1):
         m = n_chars - n + 1
-        if m <= 0:
-            break
-        c = slice(n - 1, n - 1 + m)
-        h = (h[:m] ^ byte_k[0][c]) * prime
+        h, c = h[:m], slice(n - 1, n - 1 + m)
+        h ^= byte_k[0][c]
+        h *= prime
         for k in range(1, max_len):
-            h = np.where(has_k[k][c], (h ^ byte_k[k][c]) * prime, h)
+            np.copyto(h, (h ^ byte_k[k][c]) * prime, where=char_len[c] > k)
         if n < n_lo:
             continue
-        # a gram is whole when it ends inside the text it starts in
-        whole = np.arange(n, m + n) <= end_of[:m]
-        hv = h[whole]
-        keys.append(
-            row_key[:m][whole]
-            + 2 * (hv % np.uint64(dim)).astype(np.int64)
-            + (hv >> np.uint64(63)).astype(np.int64)
-        )
-    tally = np.bincount(
-        np.concatenate(keys) if keys else np.zeros(0, np.int64), minlength=2 * n_docs * dim
-    )
-    counts = (tally[0::2] - tally[1::2]).astype(np.float64)
-    return counts.reshape(n_docs, dim)
+        key = h % np.uint64(dim)
+        key <<= np.uint64(1)
+        key |= h >> np.uint64(63)
+        key += row_key[:m]
+        # the gram at j straddles a text end at one of j+1 ... j+n-1
+        cut = (ends[:, None] - np.arange(1, n)).ravel()
+        key[cut[(cut >= 0) & (cut < m)]] = spill
+        tally += np.bincount(key.view(np.int64), minlength=spill + 1)
+    return (tally[:-1:2] - tally[1::2]).astype(np.float64).reshape(n_docs, dim)
 
 
 def hashed_ngram_counts(text: str, dim: int, n_lo: int, n_hi: int, seed: int) -> np.ndarray:

@@ -66,12 +66,16 @@ def test_filter_in_process(monkeypatch):
 def test_kernel_in_process(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))
     bench.main(["kernel", "--docs", "6", "--chars", "120", "--spec-docs", "2", "--repeats", "2"])
-    assert "kernels agree bit-exactly" in capsys.readouterr().out
+    assert "kernel agrees bit-exactly with the spec on both inputs" in capsys.readouterr().out
     with open(tmp_path / "BENCH_kernel.json", encoding="utf-8") as fh:
-        row = json.load(fh)["after"]
-    assert (row["docs"], row["spec_docs"], row["numpy_docs"]) == (6, 2, 6)
-    assert row["numpy_s"] == min(row["numpy_runs_s"]) and len(row["numpy_runs_s"]) == 2
-    assert row["numpy_mchar_per_s"] == 6 * 120 / row["numpy_s"] / 1e6
+        result = json.load(fh)["after"]
+    assert (result["docs"], result["chars"], result["spec_docs"]) == (6, 120, 2)
+    for name in ("ascii", "mixed"):
+        row = result[name]
+        assert row["s"] == min(row["runs_s"]) and len(row["runs_s"]) == 2
+        assert row["mchar_per_s"] == 6 * 120 / row["s"] / 1e6
+        assert row["traced_peak_mb"] * 1e6 == pytest.approx(row["peak_bytes_per_char"] * 6 * 120)
+        assert row["peak_bytes_per_char"] > 0
 
 
 def test_startup_summary_of_child_rows():

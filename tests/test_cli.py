@@ -161,6 +161,21 @@ def test_score_and_filter_skip_an_invalid_utf8_line(tmp_path):
     score_and_filter_with_bad_line(tmp_path, line)
 
 
+def test_score_names_a_text_shorter_than_the_shortest_gram(tmp_path, capsys):
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    assert run("train-filter", cfg_path) == 0
+    shard = tmp_path / "short.jsonl"
+    shard.write_text("".join(
+        json.dumps({"id": i, "text": text, "lang": "en", "source": "s"}) + "\n"
+        for i, text in (("a", "hello world"), ("b", "5"))))
+    with open(cfg["corpus"]["manifest"], "w") as fh:
+        json.dump({"corpus_name": "c", "lang": "en", "shards": [str(shard)]}, fh)
+    assert run("score", cfg_path) == 3
+    err = capsys.readouterr().err
+    assert "text '5' has fewer than 2 characters, the shortest n-gram" in err
+    assert "cancelled" not in err
+
+
 def test_train_batch_size_is_rejected(tmp_path, capsys):
     cfg, cfg_path, _ = build_workspace(tmp_path)
     cfg["train"]["batch_size"] = 32

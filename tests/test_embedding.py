@@ -53,6 +53,16 @@ def test_l2_normalize_zero_vector():
         embed_batch(cfg, ["fine text", "!¡"])
 
 
+def test_text_shorter_than_the_shortest_gram_is_named():
+    with pytest.raises(ZeroVectorError, match="text 'a' has fewer than 2 characters"):
+        hashed_ngram_embed("a", dim=8, ngram_range=(2, 4))
+    # the length counts after the cut and lowercasing: "İ" lowercases to two characters
+    cfg = EmbeddingProviderConfig(kind="hashed_ngram", dim=8, truncate_chars=1)
+    with pytest.raises(ZeroVectorError, match="text 'x' has fewer than 2 characters"):
+        embed_batch(cfg, ["İstanbul", "xyz"])
+    assert embed_batch(cfg, ["İstanbul"]).any()
+
+
 def test_hashed_unit_norm_small_case():
     v = hashed_ngram_embed("ab", dim=8, ngram_range=(1, 1), seed=0)
     assert v.shape == (8,)

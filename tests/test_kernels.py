@@ -1,7 +1,11 @@
 import random
+import string
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusfilter import kernels
 from corpusfilter.embedding import (
@@ -89,3 +93,38 @@ def test_gram_shorter_than_text_skipped():
     # text shorter than n yields nothing for that n
     counts = kernels.hashed_ngram_counts("ab", 16, 3, 5, 0)
     assert np.all(counts == 0)
+
+
+# characters of 1, 2, 3 and 4 UTF-8 bytes
+WIDTHS = "ab é ж中文\U0001f600\U0001f680"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(alphabet=WIDTHS, max_size=20), max_size=8),
+    st.sampled_from([8, 16, 384]),
+    st.integers(1, 5).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 5))),
+    st.sampled_from([0, 7, 2**64 - 1]),
+)
+@example([], 384, (2, 4), 0)
+@example(["", "", ""], 16, (1, 3), 0)  # all texts empty
+@example(["ab", "", "c"], 16, (2, 5), 7)  # n_hi above the batch's 3 characters
+@example(["a", "é", "中", "\U0001f600", "b"], 8, (1, 5), 2**64 - 1)  # every n >= 2 straddles
+def test_kernel_matches_spec_on_any_batch(texts, dim, ngrams, seed):
+    mat = kernels.hashed_ngram_matrix(texts, dim, *ngrams, seed)
+    assert mat.shape == (len(texts), dim) and mat.dtype == np.float64
+    for text, row in zip(texts, mat):
+        assert np.array_equal(row, spec_counts(text, dim, *ngrams, seed)), text
+
+
+def test_kernel_peak_memory_per_character():
+    rng = random.Random(0)
+    alphabet = string.ascii_lowercase + "     éàüö漢字"
+    texts = ["".join(rng.choices(alphabet, k=1500)) for _ in range(256)]
+    tracemalloc.start()
+    try:
+        kernels.hashed_ngram_matrix(texts, 384, 2, 4, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * 256 * 1500
