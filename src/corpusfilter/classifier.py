@@ -4,7 +4,9 @@ Trained once on English-only labeled seed embeddings, then applied to
 score documents in any language the embedding provider covers. Training
 takes an (n, dim) matrix and its 0/1 labels, normalises the rows and runs
 full-batch gradient descent with backtracking line search, deterministic
-given the seed.
+given the seed. A score depends on its document alone: `score_batch`
+reduces each row on its own, so a document scores the same bits alone, in
+any batch, in its shard and in a threshold sample.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .errors import (
 )
 
 VERSION = "0.1.0"
+# A row whose norm is this close to 1 is unit already, as the hashed
+# provider's rows are, and is not normalised again: a unit row's computed
+# norm is off by rounding alone, about dim * 2**-53.
+UNIT_TOL = 1e-9
 
 
 @dataclass
@@ -159,22 +165,24 @@ def _normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
-def _prepare_inputs(clf: LinearClassifier, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != clf.dim:
-        raise DimensionMismatchError(f"input dim {X.shape[1]} != classifier dim {clf.dim}")
-    if clf.normalize_inputs:
-        X = _normalize_rows(X)
-    return X
-
-
 def score(clf: LinearClassifier, x: np.ndarray) -> float:
     return float(score_batch(clf, np.atleast_2d(x))[0])
 
 
 def score_batch(clf: LinearClassifier, X: np.ndarray) -> np.ndarray:
-    X = _prepare_inputs(clf, X)
-    return sigmoid(X @ clf.w + clf.b)
+    """The score of each row of X, reduced on its own (`einsum`, not a BLAS
+    product, whose order of sums depends on the rows around it). A classifier
+    that normalises its inputs divides each row's product by the row's norm,
+    unless that norm is within UNIT_TOL of 1."""
+    X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
+    if X.shape[1] != clf.dim:
+        raise DimensionMismatchError(f"input dim {X.shape[1]} != classifier dim {clf.dim}")
+    z = np.einsum("ij,j->i", X, clf.w)
+    if clf.normalize_inputs:
+        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+        scale = (np.abs(norms - 1.0) > UNIT_TOL) & (norms > 0.0)
+        z[scale] /= norms[scale]
+    return sigmoid(z + clf.b)
 
 
 def evaluate(clf: LinearClassifier, X: np.ndarray, y: np.ndarray) -> dict:

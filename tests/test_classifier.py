@@ -15,6 +15,7 @@ from corpusfilter.classifier import (
     save_classifier,
     score,
     score_batch,
+    sigmoid,
     train_logistic,
 )
 from corpusfilter.errors import (
@@ -161,6 +162,17 @@ def test_score_monotone_in_logit():
     scores = score_batch(clf, X)
     order = np.argsort(logits)
     assert np.all(np.diff(scores[order]) >= 0)
+
+
+def test_a_normalising_classifier_normalises_each_row_once():
+    rng = np.random.default_rng(2)
+    clf = LinearClassifier(w=rng.normal(size=64), b=0.1, dim=64)
+    X = rng.normal(size=(20, 64))
+    unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+    # a unit row, as the hashed provider gives, is scored as it is
+    assert np.array_equal(score_batch(clf, unit), sigmoid(np.einsum("ij,j->i", unit, clf.w) + 0.1))
+    # a raw row, as the remote provider gives, is scaled to unit norm first
+    assert np.allclose(score_batch(clf, 7.0 * X), score_batch(clf, unit), rtol=0, atol=1e-15)
 
 
 def test_score_dimension_mismatch():

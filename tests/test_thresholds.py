@@ -7,17 +7,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from corpusfilter import classifier as clf_mod
 from corpusfilter.classifier import LinearClassifier, score_batch
 from corpusfilter.corpus_io import (
     CorpusManifest,
     Document,
     FirstFile,
+    RandomFiles,
     doc_to_line,
     read_score_records,
     read_shard,
+    sample_documents,
     write_shard,
 )
-from corpusfilter.embedding import HashedNgramProvider, get_provider
+from corpusfilter.embedding import HashedNgramProvider, embed_texts, get_provider
 from corpusfilter.errors import (
     DataError,
     EmptyScoresError,
@@ -25,6 +28,7 @@ from corpusfilter.errors import (
     PercentileOutOfRangeError,
 )
 from corpusfilter.thresholds import (
+    PERCENTILE_PRESETS,
     apply_filter,
     compare_sampling_strategies,
     estimate_percentile_threshold,
@@ -97,6 +101,59 @@ def test_score_corpus_worker_count_invariant(tmp_path, seed_classifier):
     score_corpus(manifest, cfg, clf, out1, workers=1)
     score_corpus(manifest, cfg, clf, out4, workers=4)
     assert open(out1, "rb").read() == open(out4, "rb").read()
+
+
+def test_a_documents_score_does_not_depend_on_its_batch(tmp_path, seed_classifier):
+    clf, _, _ = seed_classifier
+    manifest = make_corpus(tmp_path, n_shards=3, docs_per_shard=80)
+    cfg = hashed_config()
+    provider = get_provider(cfg)
+    score_corpus(manifest, cfg, clf, str(tmp_path / "scores.jsonl"))
+    in_shard = {doc_id: s for doc_id, s, _ in read_score_records(str(tmp_path / "scores.jsonl"))}
+    docs = list(read_shard(manifest.shard_paths[0]))
+    X = embed_texts(provider, [d.text for d in docs])
+    for i, doc in enumerate(docs):
+        alone = score_batch(clf, embed_texts(provider, [doc.text]))[0]
+        assert alone == in_shard[doc.id] == clf_mod.score(clf, X[i])
+        # the document at each offset 0-8 of a batch of each size 1-69
+        for n in range(1, 70):
+            for off in range(min(n, 9, i + 1)):
+                if i - off + n <= len(docs):
+                    assert score_batch(clf, X[i - off : i - off + n])[off] == alone
+    first, rand = FirstFile(), RandomFiles(2, 5)
+    sampled = sample_scores(manifest, cfg, clf, [first, rand], max_docs=100)
+    for strategy in (first, rand):
+        ids = [d.id for d in sample_documents(manifest, strategy, max_docs=100)]
+        assert sampled[strategy].tolist() == [in_shard[i] for i in ids]
+
+
+def test_filter_matches_the_rescoring_oracle_over_40_corpora(tmp_path, seed_classifier):
+    # criterion 03's oracle over 40 corpora and four percentiles: each
+    # document's row (its embedding alone is its row in the shard, as the
+    # test above checks) scored alone
+    clf, _, _ = seed_classifier
+    cfg = hashed_config()
+    provider = get_provider(cfg)
+    mismatches = 0
+    for seed in range(40):
+        root = tmp_path / str(seed)
+        root.mkdir()
+        manifest = make_corpus(root, n_shards=4, docs_per_shard=500, seed=seed)
+        scores_path = str(root / "scores.jsonl")
+        score_corpus(manifest, cfg, clf, scores_path)
+        oracle = {}
+        for path in manifest.shard_paths:
+            docs = list(read_shard(path))
+            rows = embed_texts(provider, [doc.text for doc in docs])
+            oracle.update((doc.id, clf_mod.score(clf, x)) for doc, x in zip(docs, rows))
+        for p in PERCENTILE_PRESETS:
+            tau = estimate_percentile_threshold(list(load_scores(scores_path).values()), p)
+            out = root / f"p{p:g}"
+            apply_filter(manifest, scores_path, tau, str(out))
+            kept = {doc.id for path in manifest.shard_paths
+                    for doc in read_shard(str(out / os.path.basename(path)))}
+            mismatches += sum((doc_id in kept) != (s > tau) for doc_id, s in oracle.items())
+    assert mismatches == 0
 
 
 def test_score_workers_run_a_bounded_window_ahead_of_the_writer(tmp_path, monkeypatch):
