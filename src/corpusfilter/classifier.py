@@ -26,9 +26,8 @@ from .errors import (
 )
 
 VERSION = "0.1.0"
-# A row whose norm is this close to 1 is unit already, as the hashed
-# provider's rows are, and is not normalised again: a unit row's computed
-# norm is off by rounding alone, about dim * 2**-53.
+# A row whose norm is this close to 1 is unit already, as the hashed provider's are,
+# and is not normalised again: its norm is off by rounding, about dim * 2**-53.
 UNIT_TOL = 1e-9
 
 
@@ -170,18 +169,16 @@ def score(clf: LinearClassifier, x: np.ndarray) -> float:
 
 
 def score_batch(clf: LinearClassifier, X: np.ndarray) -> np.ndarray:
-    """The score of each row of X, reduced on its own (`einsum`, not a BLAS
-    product, whose order of sums depends on the rows around it). A classifier
-    that normalises its inputs divides each row's product by the row's norm,
-    unless that norm is within UNIT_TOL of 1."""
+    """The score of each row of X, reduced on its own (`einsum`: a BLAS product's
+    order of sums depends on the other rows). A classifier that normalises its
+    inputs divides a row's product by its norm, unless that is within UNIT_TOL of 1."""
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     if X.shape[1] != clf.dim:
         raise DimensionMismatchError(f"input dim {X.shape[1]} != classifier dim {clf.dim}")
     z = np.einsum("ij,j->i", X, clf.w)
     if clf.normalize_inputs:
         norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-        scale = (np.abs(norms - 1.0) > UNIT_TOL) & (norms > 0.0)
-        z[scale] /= norms[scale]
+        np.divide(z, norms, out=z, where=(np.abs(norms - 1.0) > UNIT_TOL) & (norms > 0.0))
     return sigmoid(z + clf.b)
 
 

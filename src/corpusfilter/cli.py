@@ -72,6 +72,8 @@ POSITIVE = {"train.learning_rate", "train.tolerance", "plan.model_params",
             "plan.languages.weight"}
 # list keys whose entries differ in the given key: each names a column or a histogram
 UNIQUE = {"report.scores": "name", "clusters.datasets": "name"}
+# the embedding settings that change a vector, and so a score
+SCORE_EMBEDDING_KEYS = ("kind", "dim", "ngram_range", "seed", "truncate_chars", "endpoint")
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -218,20 +220,50 @@ def _scores_path(cfg: dict) -> str:
     return cfg.get("scores") or os.path.join(_out_dir(cfg), "scores.jsonl")
 
 
+def _score_digests(cfg: dict, pcfg, manifest, scores_path: str) -> dict[str, str]:
+    """The sha256 digests that tie a score file to what its bits depend on:
+    the classifier file, the embedding settings that change a vector, the
+    corpus name and shard paths, and the score file's name and bytes."""
+    settings = {"embedding": [getattr(pcfg, key) for key in SCORE_EMBEDDING_KEYS],
+                "manifest": [manifest.corpus_name, manifest.shard_paths]}
+    digests = {name: hashlib.sha256(json.dumps(value).encode()).hexdigest()
+               for name, value in settings.items()}
+    digests["classifier"] = corpus_io.file_sha256(cfg["classifier"])
+    name = os.path.basename(scores_path).encode()
+    digests["scores"] = corpus_io.file_sha256(scores_path, prefix=name + b"\0")
+    return digests
+
+
+def _score_report_path(scores_path: str) -> str:
+    return os.path.join(os.path.dirname(scores_path), "score_report.json")
+
+
 def cmd_score(cfg: dict, stamp: dict) -> int:
     pcfg = provider_config(cfg)  # its checks come before any file is read
     manifest = load_manifest(cfg["corpus"]["manifest"])
     clf = clf_mod.load_classifier(cfg["classifier"])
     out_path = _scores_path(cfg)
     count = thresholds.score_corpus(manifest, pcfg, clf, out_path, workers=cfg.get("workers", 1))
+    write_json(_score_report_path(out_path),
+               {**stamp, "digests": _score_digests(cfg, pcfg, manifest, out_path)})
     print(f"scored {count} documents -> {out_path}")
     return 0
+
+
+def _scores_are_this_runs(cfg: dict, pcfg, manifest, scores_path: str) -> bool:
+    """Whether the score file has a score report whose digests are this run's."""
+    report_path = _score_report_path(scores_path)
+    if not (os.path.exists(scores_path) and os.path.exists(report_path)):
+        return False
+    digests = _score_digests(cfg, pcfg, manifest, scores_path)
+    report = corpus_io.load_json_object(report_path, "score report",
+                                        {"digests": dict.fromkeys(digests, str)})
+    return report["digests"] == digests
 
 
 def cmd_threshold(cfg: dict, stamp: dict) -> int:
     pcfg = provider_config(cfg)  # its checks come before any file is read
     manifest = load_manifest(cfg["corpus"]["manifest"])
-    clf = clf_mod.load_classifier(cfg["classifier"])
     th_cfg = cfg["threshold"]
     seed = cfg.get("seed", 0)
     first, rand = FirstFile(), RandomFiles(n=th_cfg.get("n_random", 10), seed=seed)
@@ -242,9 +274,13 @@ def cmd_threshold(cfg: dict, stamp: dict) -> int:
     percentiles = cfg.get("percentiles") or thresholds.PERCENTILE_PRESETS
     # the estimate's sample is one of the comparison's two, and is scored once
     samples = [strategy, first, rand] if th_cfg.get("compare") else [strategy]
-    scores = thresholds.sample_scores(
-        manifest, pcfg, clf, samples, th_cfg.get("max_docs", 100_000)
-    )
+    max_docs = th_cfg.get("max_docs", 100_000)
+    scores_path = _scores_path(cfg)
+    if _scores_are_this_runs(cfg, pcfg, manifest, scores_path):
+        scores = thresholds.recorded_sample_scores(manifest, scores_path, samples, max_docs)
+    else:
+        clf = clf_mod.load_classifier(cfg["classifier"])
+        scores = thresholds.sample_scores(manifest, pcfg, clf, samples, max_docs)
     estimates = thresholds.thresholds_from_scores(
         scores[strategy], list(percentiles), strategy, manifest.corpus_name
     )
@@ -387,9 +423,8 @@ def cmd_report(cfg: dict, stamp: dict) -> int:
     columns = {}
     for e in entries:
         values = list(thresholds.load_scores(e["path"]).values())
-        columns[e["name"]] = {
-            f"{p:g}": thresholds.estimate_percentile_threshold(values, p) for p in percentiles
-        }
+        taus = thresholds.percentile_thresholds(values, percentiles)
+        columns[e["name"]] = {f"{p:g}": tau for p, tau in zip(percentiles, taus)}
     report = {**stamp, "percentiles": list(percentiles), "table": columns}
     out = os.path.join(_out_dir(cfg), "percentile_table.json")
     write_json(out, report)

@@ -18,6 +18,7 @@ import contextlib
 import csv
 import errno
 import gzip
+import hashlib
 import itertools
 import json
 import os
@@ -96,8 +97,18 @@ def shard_writer(path: str) -> Iterator[IO[bytes]]:
             yield fh
             return
         # the header names the shard, not the temporary file
-        with gzip.GzipFile(os.path.basename(path), "wb", fileobj=fh) as gz:
+        # and holds no write time, so that a rerun writes the same bytes
+        with gzip.GzipFile(os.path.basename(path), "wb", fileobj=fh, mtime=0) as gz:
             yield gz
+
+
+def file_sha256(path: str, prefix: bytes = b"") -> str:
+    """Hex sha256 of `prefix` followed by the bytes of the file at `path`."""
+    digest = hashlib.sha256(prefix)
+    with open(path, "rb") as fh:
+        while block := fh.read(BLOCK_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_json(path: str, obj, indent: int | None = 2) -> None:
@@ -301,30 +312,36 @@ class RandomFiles:
     seed: int
 
 
+def sampled_shards(manifest: CorpusManifest, strategy: FirstFile | RandomFiles) -> list[str]:
+    """The paths of the shards that `strategy` samples, in manifest order: FirstFile
+    the first (lexicographic order), RandomFiles n picked without replacement."""
+    if isinstance(strategy, FirstFile):
+        return manifest.shard_paths[:1]
+    if strategy.n > len(manifest.shard_paths):
+        raise DataError(
+            f"random_files n={strategy.n} exceeds shard count {len(manifest.shard_paths)}"
+        )
+    return sorted(random.Random(strategy.seed).sample(manifest.shard_paths, strategy.n))
+
+
 def sample_documents(
     manifest: CorpusManifest,
     strategy: FirstFile | RandomFiles,
     max_docs: int = 100_000,
-) -> list[Document]:
+    open_shard=read_shard,
+) -> list:
     """Draw a deterministic document sample for threshold estimation.
 
-    FirstFile reads only the first shard (lexicographic order). RandomFiles
-    picks n shards without replacement using the given seed and reads them
-    round-robin, so no single shard dominates the sample.
+    It takes one item from each of `sampled_shards` in turn, so no single
+    shard dominates it, until it has `max_docs`. `open_shard` maps a shard's
+    path to its items: its documents, or their scores as `score` wrote them.
     """
     if max_docs <= 0:
         raise DataError("max_docs must be positive")
-    if isinstance(strategy, FirstFile):
-        chosen = manifest.shard_paths[:1]
-    elif strategy.n > len(manifest.shard_paths):
-        raise DataError(
-            f"random_files n={strategy.n} exceeds shard count {len(manifest.shard_paths)}"
-        )
-    else:
-        chosen = sorted(random.Random(strategy.seed).sample(manifest.shard_paths, strategy.n))
-    # one document from each open shard in turn: itertools' roundrobin recipe
-    streams = (iter(read_shard(p)) for p in chosen)
-    docs: list[Document] = []
+    chosen = sampled_shards(manifest, strategy)
+    # one item from each open shard in turn: itertools' roundrobin recipe
+    streams = (iter(open_shard(p)) for p in chosen)
+    docs: list = []
     for n_open in range(len(chosen), 0, -1):
         streams = itertools.cycle(itertools.islice(streams, n_open))
         docs += itertools.islice(map(next, streams), max_docs - len(docs))

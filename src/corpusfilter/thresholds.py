@@ -4,7 +4,9 @@ The selection rule is strict: a document survives only when its
 classifier score is strictly greater than tau. Tau itself comes from a
 percentile of sampled scores (nearest-rank, no interpolation), so
 filtering at the p-th percentile retains on the order of (100-p)% of
-the corpus.
+the corpus. A score depends on its document alone, not on the documents
+scored with it, so `recorded_sample_scores` can read a sample's scores
+back from the file that `score_corpus` wrote.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .corpus_io import (
     read_score_records,
     read_shard,
     sample_documents,
+    sampled_shards,
     shard_writer,
     write_score_records,
 )
@@ -64,15 +67,21 @@ class FilterStats:
     tau: float
 
 
-def estimate_percentile_threshold(scores, percentile: float) -> float:
-    """Nearest-rank percentile: sorted ascending, 1-indexed rank ceil(p/100 * n)."""
-    scores = np.asarray(scores, dtype=np.float64)
+def percentile_thresholds(scores, percentiles) -> list[float]:
+    """Nearest-rank percentiles from one sort: sorted ascending, the p-th
+    is at 1-indexed rank ceil(p/100 * n)."""
+    scores = np.sort(np.asarray(scores, dtype=np.float64))
     if scores.size == 0:
         raise EmptyScoresError("no scores to take a percentile of")
-    if not 0.0 < percentile < 100.0:
-        raise PercentileOutOfRangeError(f"percentile {percentile} outside (0, 100)")
-    rank = math.ceil(percentile / 100.0 * scores.size)
-    return float(np.sort(scores)[rank - 1])
+    for percentile in percentiles:
+        if not 0.0 < percentile < 100.0:
+            raise PercentileOutOfRangeError(f"percentile {percentile} outside (0, 100)")
+    return [float(scores[math.ceil(p / 100.0 * scores.size) - 1]) for p in percentiles]
+
+
+def estimate_percentile_threshold(scores, percentile: float) -> float:
+    """The nearest-rank `percentile` of `scores`, as `percentile_thresholds`."""
+    return percentile_thresholds(scores, [percentile])[0]
 
 
 def _score_shard(path: str, provider, clf) -> tuple[str, list[str], list[float]]:
@@ -215,13 +224,27 @@ def sample_scores(
     Equal strategies draw the same sample, so each distinct one is embedded
     and scored once, in the order given."""
     provider = get_provider(provider_config)
-    scores = {}
-    for strategy in strategies:
-        if strategy not in scores:
-            docs = sample_documents(manifest, strategy, max_docs=max_docs)
-            X = embed_texts(provider, [d.text for d in docs])
-            scores[strategy] = clf_mod.score_batch(clf, X)
-    return scores
+    return {
+        strategy: clf_mod.score_batch(clf, embed_texts(
+            provider, [d.text for d in sample_documents(manifest, strategy, max_docs)]))
+        for strategy in dict.fromkeys(strategies)
+    }
+
+
+def recorded_sample_scores(manifest: CorpusManifest, scores_path: str, strategies: list,
+                           max_docs: int = 100_000) -> dict[FirstFile | RandomFiles, np.ndarray]:
+    """What `sample_scores` gives, drawn by the same sampler from the records
+    of the score file that `score_corpus` wrote for this manifest, classifier
+    and embedding. Memory holds at most `max_docs` scores of a sampled shard."""
+    strategies = list(dict.fromkeys(strategies))
+    by_shard = {os.path.basename(path): array("d")
+                for strategy in strategies for path in sampled_shards(manifest, strategy)}
+    for _, score, shard in read_score_records(scores_path):
+        if shard in by_shard and len(by_shard[shard]) < max_docs:
+            by_shard[shard].append(score)
+    return {strategy: np.array(sample_documents(
+        manifest, strategy, max_docs, lambda path: by_shard[os.path.basename(path)]))
+        for strategy in strategies}
 
 
 def thresholds_from_scores(
@@ -231,19 +254,17 @@ def thresholds_from_scores(
     corpus_name: str,
 ) -> list[ThresholdEstimate]:
     """One estimate per percentile of the scores of `strategy`'s sample."""
-    if isinstance(strategy, FirstFile):
-        strat = "first_file"
-    else:
-        strat = f"random_files({strategy.n},{strategy.seed})"
+    strat = ("first_file" if isinstance(strategy, FirstFile)
+             else f"random_files({strategy.n},{strategy.seed})")
     return [
         ThresholdEstimate(
             percentile=percentile,
-            tau=estimate_percentile_threshold(scores, percentile),
+            tau=tau,
             sample_size=int(scores.size),
             strategy=strat,
             corpus_name=corpus_name,
         )
-        for percentile in percentiles
+        for percentile, tau in zip(percentiles, percentile_thresholds(scores, percentiles))
     ]
 
 

@@ -244,13 +244,115 @@ def test_threshold_compare_embeds_each_sample_once(tmp_path, monkeypatch, strate
     )
 
 
+def count_embedded(monkeypatch) -> list[int]:
+    """The sizes of the batches the hashed provider embeds from now on."""
+    embedded = []
+    embed = HashedNgramProvider.embed_batch
+    monkeypatch.setattr(HashedNgramProvider, "embed_batch",
+                        lambda self, texts: embedded.append(len(texts)) or embed(self, texts))
+    return embedded
+
+
+def threshold_outcome(cfg, cfg_path, monkeypatch):
+    """threshold's exit code, its report's bytes, and how many texts it embedded."""
+    report = os.path.join(cfg["output_dir"], "threshold_report.json")
+    if os.path.exists(report):
+        os.remove(report)
+    embedded = count_embedded(monkeypatch)
+    code = run("threshold", cfg_path)
+    blob = open(report, "rb").read() if os.path.exists(report) else None
+    return code, blob, sum(embedded)
+
+
+def scored_workspace(tmp_path, threshold):
+    """A trained and scored workspace whose threshold section is `threshold`;
+    its first shard holds a malformed and a blank line among its documents."""
+    cfg, cfg_path, manifest = build_workspace(tmp_path, n_shards=3, docs_per_shard=20)
+    with open(manifest.shard_paths[0], "ab") as fh:
+        fh.write(b'{"id": "bad"}\n\n' + corpus_io.doc_to_line(make_docs(1, prefix="z")[0]).encode())
+    cfg["threshold"] = threshold
+    write_config(cfg_path, cfg)
+    assert run("train-filter", cfg_path) == 0
+    assert run("score", cfg_path) == 0
+    return cfg, cfg_path
+
+
+@pytest.mark.parametrize("threshold", [
+    {"strategy": "first_file"},
+    {"strategy": "random_files", "n_random": 2},
+    {"strategy": "first_file", "compare": True, "n_random": 2, "percentile": 60},
+    {"strategy": "random_files", "n_random": 3, "compare": True, "max_docs": 7},
+])
+def test_threshold_after_score_reads_the_scores_file(tmp_path, monkeypatch, threshold):
+    cfg, cfg_path = scored_workspace(tmp_path, threshold)
+    code, reused, embedded = threshold_outcome(cfg, cfg_path, monkeypatch)
+    assert (code, embedded) == (0, 0)
+    os.rename(cfg["scores"], cfg["scores"] + ".away")
+    code, blob, embedded = threshold_outcome(cfg, cfg_path, monkeypatch)
+    assert code == 0 and embedded > 0 and blob == reused
+
+
+def retrain(cfg, cfg_path):
+    cfg["train"]["max_epochs"] = 20
+    write_config(cfg_path, cfg)
+    assert run("train-filter", cfg_path) == 0
+
+
+def edit_manifest(cfg, cfg_path):
+    with open(cfg["corpus"]["manifest"]) as fh:
+        manifest = json.load(fh)
+    write_json(cfg["corpus"]["manifest"], {**manifest, "corpus_name": "renamed"})
+
+
+def edit_scores(cfg, cfg_path):
+    with open(cfg["scores"]) as fh:
+        lines = fh.readlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "score": 0.5}) + "\n"
+    with open(cfg["scores"], "w") as fh:
+        fh.writelines(lines)
+
+
+def set_embedding(key, value):
+    def edit(cfg, cfg_path):
+        cfg["embedding"][key] = value
+        write_config(cfg_path, cfg)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    retrain, edit_manifest, edit_scores,
+    set_embedding("dim", 32), set_embedding("ngram_range", [1, 3]),
+    set_embedding("seed", 5), set_embedding("truncate_chars", 60),
+    lambda cfg, cfg_path: os.remove(os.path.join(cfg["output_dir"], "score_report.json")),
+], ids=["classifier", "manifest", "scores", "dim", "ngram_range", "seed", "truncate_chars",
+        "no_score_report"])
+def test_threshold_embeds_when_the_scores_are_stale(tmp_path, monkeypatch, edit):
+    threshold = {"strategy": "random_files", "n_random": 2, "compare": True}
+    cfg, cfg_path = scored_workspace(tmp_path, threshold)
+    edit(cfg, cfg_path)
+    stale = threshold_outcome(cfg, cfg_path, monkeypatch)
+    assert stale[2] > 0
+    os.rename(cfg["scores"], cfg["scores"] + ".away")
+    assert stale == threshold_outcome(cfg, cfg_path, monkeypatch)
+
+
+def test_a_malformed_score_report_is_a_data_error(tmp_path, capsys):
+    cfg, cfg_path = scored_workspace(tmp_path, {"strategy": "first_file"})
+    path = os.path.join(cfg["output_dir"], "score_report.json")
+    write_json(path, {"digests": {"scores": 5}})
+    assert run("threshold", cfg_path) == 3
+    err = capsys.readouterr().err
+    assert path in err and "'digests'" in err
+
+
 def test_score_and_reports_are_reproducible(tmp_path):
     cfg, cfg_path, _ = build_workspace(tmp_path)
     for cmd in ("train-filter", "score", "threshold"):
         assert run(cmd, cfg_path) == 0
     snapshots = {
         name: open(os.path.join(cfg["output_dir"], name), "rb").read()
-        for name in ("classifier.json", "scores.jsonl", "threshold_report.json")
+        for name in ("classifier.json", "scores.jsonl", "score_report.json",
+                     "threshold_report.json")
     }
     for cmd in ("train-filter", "score", "threshold"):
         assert run(cmd, cfg_path) == 0

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -538,6 +539,20 @@ def test_filter_writes_a_gz_shard_as_gz(tmp_path):
     with open(out, "rb") as fh:
         assert fh.read(2) == b"\x1f\x8b"
     assert list(read_shard(out)) == docs[1::2]
+
+
+def test_filter_writes_the_same_gz_bytes_at_any_time(tmp_path, monkeypatch):
+    shard = str(tmp_path / "x.jsonl.gz")
+    write_shard(shard, make_docs(6))
+    manifest = CorpusManifest(corpus_name="c", lang="en", shard_paths=[shard])
+    scores_path = str(tmp_path / "s.jsonl")
+    write_scores(scores_path, scores_for(manifest))
+    shards = []
+    for now in (1e9, 2e9):  # the gzip header held the write time
+        monkeypatch.setattr(time, "time", lambda: now)
+        apply_filter(manifest, scores_path, 0.5, str(tmp_path / f"{now:g}"))
+        shards.append((tmp_path / f"{now:g}" / "x.jsonl.gz").read_bytes())
+    assert shards[0] == shards[1]
 
 
 def test_filter_error_leaves_no_partial_shard(tmp_path):
