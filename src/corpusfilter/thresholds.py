@@ -254,8 +254,10 @@ def thresholds_from_scores(
     corpus_name: str,
 ) -> list[ThresholdEstimate]:
     """One estimate per percentile of the scores of `strategy`'s sample."""
-    strat = ("first_file" if isinstance(strategy, FirstFile)
-             else f"random_files({strategy.n},{strategy.seed})")
+    if isinstance(strategy, FirstFile):
+        strat = "first_file"
+    else:
+        strat = f"random_files({strategy.n},{strategy.seed})"
     return [
         ThresholdEstimate(
             percentile=percentile,
