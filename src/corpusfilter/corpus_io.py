@@ -18,7 +18,6 @@ import contextlib
 import csv
 import errno
 import gzip
-import hashlib
 import itertools
 import json
 import os
@@ -104,6 +103,8 @@ def shard_writer(path: str) -> Iterator[IO[bytes]]:
 
 def file_sha256(path: str, prefix: bytes = b"") -> str:
     """Hex sha256 of `prefix` followed by the bytes of the file at `path`."""
+    import hashlib  # only here: it loads OpenSSL, about 4 ms, which clustering never needs
+
     digest = hashlib.sha256(prefix)
     with open(path, "rb") as fh:
         while block := fh.read(BLOCK_BYTES):
