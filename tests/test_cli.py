@@ -223,16 +223,22 @@ def test_cli_leaves_out_scipy_and_the_http_stack(tmp_path):
     assert os.listdir(cfg["filter"]["out_dir"])
 
 
+def count_embedded(monkeypatch) -> list[int]:
+    """The sizes of the batches the hashed provider embeds from now on."""
+    embedded = []
+    embed = HashedNgramProvider.embed_batch
+    monkeypatch.setattr(HashedNgramProvider, "embed_batch",
+                        lambda self, texts: embedded.append(len(texts)) or embed(self, texts))
+    return embedded
+
+
 @pytest.mark.parametrize("strategy", ["first_file", "random_files"])
 def test_threshold_compare_embeds_each_sample_once(tmp_path, monkeypatch, strategy):
     cfg, cfg_path, manifest = build_workspace(tmp_path, n_shards=3, docs_per_shard=20)
     assert run("train-filter", cfg_path) == 0
     cfg["threshold"] = {"strategy": strategy, "n_random": 2, "compare": True, "percentile": 60}
     write_config(cfg_path, cfg)
-    embedded = []
-    embed = HashedNgramProvider.embed_batch
-    monkeypatch.setattr(HashedNgramProvider, "embed_batch",
-                        lambda self, texts: embedded.append(len(texts)) or embed(self, texts))
+    embedded = count_embedded(monkeypatch)
     assert run("threshold", cfg_path) == 0
     # the first shard (20 documents) and two random shards (40), once each
     assert sum(embedded) == 20 + 40
@@ -242,15 +248,6 @@ def test_threshold_compare_embeds_each_sample_once(tmp_path, monkeypatch, strate
     assert report["strategy_comparison"] == compare_sampling_strategies(
         manifest, hashed_config(), clf, 60, n_random=2, seed=0
     )
-
-
-def count_embedded(monkeypatch) -> list[int]:
-    """The sizes of the batches the hashed provider embeds from now on."""
-    embedded = []
-    embed = HashedNgramProvider.embed_batch
-    monkeypatch.setattr(HashedNgramProvider, "embed_batch",
-                        lambda self, texts: embedded.append(len(texts)) or embed(self, texts))
-    return embedded
 
 
 def threshold_outcome(cfg, cfg_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import threading
@@ -35,6 +36,7 @@ from corpusfilter.thresholds import (
     estimate_percentile_threshold,
     estimate_threshold,
     load_scores,
+    percentile_thresholds,
     sample_scores,
     score_corpus,
     thresholds_from_scores,
@@ -68,6 +70,16 @@ def test_percentile_errors():
     for p in (0, 100, -5, 120):
         with pytest.raises(PercentileOutOfRangeError):
             estimate_percentile_threshold([0.5], p)
+        with pytest.raises(PercentileOutOfRangeError):
+            percentile_thresholds([0.5], [50, p])
+
+
+def test_percentiles_from_one_sort_are_the_nearest_ranks():
+    scores = np.random.default_rng(3).random(999).tolist()
+    percentiles = [95, 30, 60, 90, 0.1, 99.9]
+    ranked = sorted(scores)
+    assert percentile_thresholds(scores, percentiles) == [
+        ranked[math.ceil(p / 100 * len(ranked)) - 1] for p in percentiles]
 
 
 def test_percentile_monotone():
@@ -147,8 +159,8 @@ def test_filter_matches_the_rescoring_oracle_over_40_corpora(tmp_path, seed_clas
             docs = list(read_shard(path))
             rows = embed_texts(provider, [doc.text for doc in docs])
             oracle.update((doc.id, clf_mod.score(clf, x)) for doc, x in zip(docs, rows))
-        for p in PERCENTILE_PRESETS:
-            tau = estimate_percentile_threshold(list(load_scores(scores_path).values()), p)
+        taus = percentile_thresholds(list(load_scores(scores_path).values()), PERCENTILE_PRESETS)
+        for p, tau in zip(PERCENTILE_PRESETS, taus):
             out = root / f"p{p:g}"
             apply_filter(manifest, scores_path, tau, str(out))
             kept = {doc.id for path in manifest.shard_paths
