@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import load_json_object, write_json
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatchError,
-    EmptyDataError,
-    ScoreOutOfRangeError,
-    SingleClassDataError,
-)
+from .errors import ConfigError, DataError, DimensionMismatchError
 
 VERSION = "0.1.0"
 # A row whose norm is this close to 1 is unit already, as the hashed provider's are,
@@ -83,7 +76,7 @@ def _check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[:1] == (0,):
-        raise EmptyDataError("no labeled examples")
+        raise DataError("no labeled examples")
     if X.ndim != 2 or y.shape != X.shape[:1]:
         raise DimensionMismatchError(
             f"expected an (n, dim) matrix and n labels, got {X.shape} and {y.shape}"
@@ -118,7 +111,7 @@ def loss_and_gradient(
 def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> LinearClassifier:
     X, y = _check_xy(X, y)
     if len(np.unique(y)) < 2:
-        raise SingleClassDataError("training data contains a single class")
+        raise DataError("training data contains a single class")
     X = _normalize_rows(X)
     dim = X.shape[1]
     rng = np.random.default_rng(config.seed)
@@ -208,7 +201,7 @@ def binarize_fwe_annotations(records: list[dict]) -> list[tuple[str, int]]:
     for rec in records:
         s = rec["score"]
         if type(s) is not int or not 0 <= s <= 5:
-            raise ScoreOutOfRangeError(f"annotation score {s!r} outside 0..5")
+            raise DataError(f"annotation score {s!r} outside 0..5")
         out.append((rec["text"], 1 if s >= 2 else 0))
     return out
 

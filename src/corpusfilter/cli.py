@@ -34,7 +34,7 @@ from . import classifier as clf_mod
 from . import clustering, corpus_io, planner, thresholds
 from .corpus_io import FirstFile, RandomFiles, load_manifest, read_shard, write_json
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
-from .errors import ConfigError, EmptyCorpusError, ToolkitError
+from .errors import ConfigError, DataError, ToolkitError
 
 ENDPOINT_ENV = "CORPUSFILTER_EMBED_ENDPOINT"
 TOKEN_ENV = "CORPUSFILTER_EMBED_TOKEN"
@@ -337,7 +337,7 @@ def _embed_manifest_sample(manifest_path: str, pcfg, max_docs: int) -> np.ndarra
     docs = itertools.chain.from_iterable(read_shard(path) for path in shards)
     texts = [doc.text for doc in itertools.islice(docs, max_docs)]
     if not texts:
-        raise EmptyCorpusError(f"no documents in the shards of {manifest_path}")
+        raise DataError(f"no documents in the shards of {manifest_path}")
     return embed_texts(get_provider(pcfg), texts)
 
 

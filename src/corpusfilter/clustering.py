@@ -44,17 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus_io import load_json_object, write_json
-from .errors import (
-    ClusterCountError,
-    DataError,
-    DimensionMismatchError,
-    EmptyDatasetError,
-    EmptyHistogramError,
-    IterationCountError,
-    LengthMismatchError,
-    NonFinitePointError,
-    TooFewPointsError,
-)
+from .errors import ConfigError, DataError, DimensionMismatchError
 
 
 @dataclass
@@ -116,7 +106,7 @@ def _finite_row_norms(X: np.ndarray) -> np.ndarray:
     xx = _row_norms(X)
     bad = np.flatnonzero(~np.isfinite(xx))
     if len(bad):
-        raise NonFinitePointError(
+        raise DataError(
             f"point {bad[0]} is not finite or too large: its squared norm is {xx[bad[0]]}"
         )
     return xx
@@ -261,13 +251,13 @@ def fit_balanced_kmeans(
     points, K: int, seed: int = 0, max_iters: int = 50
 ) -> ClusterModel:
     if K < 1:
-        raise ClusterCountError(f"K must be at least 1, not {K}")
+        raise ConfigError(f"K must be at least 1, not {K}")
     if max_iters < 1:
-        raise IterationCountError(f"max_iters must be at least 1, not {max_iters}")
+        raise ConfigError(f"max_iters must be at least 1, not {max_iters}")
     X = _as_matrix(points)
     n, dim = X.shape
     if n < K:
-        raise TooFewPointsError(f"{n} points cannot fill {K} clusters")
+        raise DataError(f"{n} points cannot fill {K} clusters")
     xx = _finite_row_norms(X)
     capacity = math.ceil(n / K)
     rng = np.random.default_rng(seed)
@@ -320,7 +310,7 @@ def assign_batch(model: ClusterModel, X, xx: np.ndarray | None = None) -> np.nda
 def histogram_over_clusters(model: ClusterModel, dataset, name: str) -> ClusterHistogram:
     """Cluster sizes of the rows of a 2-D dataset, assigned `_BLOCK_ROWS` rows at a time."""
     if len(dataset) == 0:
-        raise EmptyDatasetError(f"dataset {name!r} is empty")
+        raise DataError(f"dataset {name!r} is empty")
     X = _as_matrix(dataset)
     xx = _finite_row_norms(X)
     counts = np.zeros(model.K, dtype=np.int64)
@@ -333,9 +323,9 @@ def histogram_over_clusters(model: ClusterModel, dataset, name: str) -> ClusterH
 def histogram_distance(a: ClusterHistogram, b: ClusterHistogram) -> float:
     """Total variation distance between the two normalized histograms."""
     if len(a.counts) != len(b.counts):
-        raise LengthMismatchError(f"K mismatch: {len(a.counts)} vs {len(b.counts)}")
+        raise DataError(f"K mismatch: {len(a.counts)} vs {len(b.counts)}")
     if a.total == 0 or b.total == 0:
-        raise EmptyHistogramError("cannot compare an empty histogram")
+        raise DataError("cannot compare an empty histogram")
     pa = a.counts / a.total
     pb = b.counts / b.total
     return 0.5 * float(np.abs(pa - pb).sum())

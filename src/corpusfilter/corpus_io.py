@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DataError, EmptyCorpusError, ScoreOutOfRangeError
+from .errors import DataError
 
 REQUIRED_FIELDS = ("id", "text", "lang", "source")
 BLOCK_BYTES = 1 << 16  # file buffer size, and the size hint of one `readlines` call
@@ -282,7 +282,7 @@ def read_annotations(path: str) -> Iterator[dict]:
         if not rec["text"] or rec["text"].isspace():  # the rule of Document.validate
             raise DataError(f"{where} text is empty or whitespace only")
         if not 0 <= rec["score"] <= 5:
-            raise ScoreOutOfRangeError(f"{where} score {rec['score']} is outside 0..5")
+            raise DataError(f"{where} score {rec['score']} is outside 0..5")
         _require_utf8("text", rec["text"], f"{where} ")  # a lone surrogate, from a \ud800 escape
         yield rec
 
@@ -347,7 +347,7 @@ def sample_documents(
         streams = itertools.cycle(itertools.islice(streams, n_open))
         docs += itertools.islice(map(next, streams), max_docs - len(docs))
     if not docs:
-        raise EmptyCorpusError(f"no documents in the sampled shards {chosen}")
+        raise DataError(f"no documents in the sampled shards {chosen}")
     return docs
 
 

@@ -18,13 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    EmptyInputError,
-    RemoteUnavailableError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, DataError, DimensionMismatchError, RemoteProviderError
 from .kernels import hashed_ngram_counts, hashed_ngram_matrix
 
 MAX_RETRIES = 3  # attempts per remote batch
@@ -73,10 +67,10 @@ def _unit_rows(counts: np.ndarray, texts: Sequence[str], n_lo: int) -> np.ndarra
     if zero.size:
         text = texts[zero[0]]
         if len(text) < n_lo:
-            raise ZeroVectorError(
+            raise DataError(
                 f"text {text[:40]!r} has fewer than {n_lo} characters, the shortest n-gram")
         # all signed counts cancelled; vanishingly rare for real text
-        raise ZeroVectorError(f"signed hash counts cancelled for text {text[:40]!r}")
+        raise DataError(f"signed hash counts cancelled for text {text[:40]!r}")
     return counts / norms[:, None]
 
 
@@ -90,7 +84,7 @@ def hashed_ngram_embed(
     """
     _check_hashed_dim(dim)
     if not text:
-        raise EmptyInputError("cannot embed empty text")
+        raise DataError("cannot embed empty text")
     text = text.lower()
     counts = hashed_ngram_counts(text, dim, ngram_range[0], ngram_range[1], seed)
     return _unit_rows(counts[None, :], [text], ngram_range[0])[0]
@@ -140,13 +134,13 @@ class RemoteProvider:
                 last_err = exc
                 continue
             if resp.status_code != 200:
-                last_err = RemoteUnavailableError(f"{url} returned {resp.status_code}")
+                last_err = RemoteProviderError(f"{url} returned {resp.status_code}")
                 continue
             try:
                 body = resp.json()
                 vectors = np.asarray(body["vectors"], dtype=np.float64)
             except (ValueError, TypeError, KeyError) as exc:
-                raise RemoteUnavailableError(
+                raise RemoteProviderError(
                     f"{url} returned a body without a numeric 'vectors' array: {exc!r}"
                 ) from exc
             if body.get("dim") != cfg.dim or vectors.shape != (len(texts), cfg.dim):
@@ -155,9 +149,9 @@ class RemoteProvider:
                     f"expected dim {cfg.dim}"
                 )
             if not np.all(np.isfinite(vectors)):
-                raise RemoteUnavailableError("service returned non-finite vectors")
+                raise RemoteProviderError("service returned non-finite vectors")
             return vectors
-        raise RemoteUnavailableError(
+        raise RemoteProviderError(
             f"embedding service failed after {MAX_RETRIES} attempts: {last_err}"
         )
 
@@ -176,14 +170,14 @@ def embed_texts(provider, texts: Sequence[str]) -> np.ndarray:
     """The rows of `texts`, in one preallocated array filled `batch_size` at a
     time; the one path from texts to rows. Each text is cut to `truncate_chars`
     once, before lowercasing (which can change the length); an empty list, or a
-    text empty after the cut (named by its index), is an EmptyInputError."""
+    text empty after the cut (named by its index), is a DataError."""
     cfg = provider.config
     if not texts:
-        raise EmptyInputError("no texts to embed")
+        raise DataError("no texts to embed")
     X = np.empty((len(texts), cfg.dim))
     for start in range(0, len(texts), cfg.batch_size):
         batch = [text[: cfg.truncate_chars] for text in texts[start : start + cfg.batch_size]]
         if not all(batch):
-            raise EmptyInputError(f"text {start + batch.index('')} empty after truncation")
+            raise DataError(f"text {start + batch.index('')} empty after truncation")
         X[start : start + len(batch)] = provider.embed_batch(batch)
     return X

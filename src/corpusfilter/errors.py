@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the toolkit.
 
-Three exit-code families for the CLI: configuration problems, data
-problems, and remote embedding provider problems.
+The library raises one of three exit-code families, each of which the CLI
+maps to its exit code: `ConfigError` (2) for configuration problems,
+`DataError` (3) for data problems and `RemoteProviderError` (4) for the
+remote embedding provider. The message tells one failure from another.
+`DimensionMismatchError` and `MissingScoreError` are the only subclasses,
+both `DataError`s.
 """
 
 
@@ -21,87 +25,9 @@ class RemoteProviderError(ToolkitError):
     exit_code = 4
 
 
-# corpus_io
-class EmptyCorpusError(DataError):
-    pass
-
-
-# embedding
-class EmptyInputError(DataError):
-    pass
-
-
-class ZeroVectorError(DataError):
-    pass
-
-
 class DimensionMismatchError(DataError):
     pass
 
 
-class RemoteUnavailableError(RemoteProviderError):
-    pass
-
-
-# classifier
-class EmptyDataError(DataError):
-    pass
-
-
-class SingleClassDataError(DataError):
-    pass
-
-
-class ScoreOutOfRangeError(DataError):
-    pass
-
-
-# thresholds
-class EmptyScoresError(DataError):
-    pass
-
-
-class PercentileOutOfRangeError(ConfigError):
-    pass
-
-
 class MissingScoreError(DataError):
-    pass
-
-
-# clustering
-class TooFewPointsError(DataError):
-    pass
-
-
-class EmptyDatasetError(DataError):
-    pass
-
-
-class LengthMismatchError(DataError):
-    pass
-
-
-class EmptyHistogramError(DataError):
-    pass
-
-
-class NonFinitePointError(DataError):
-    pass
-
-
-class ClusterCountError(ConfigError):
-    pass
-
-
-class IterationCountError(ConfigError):
-    pass
-
-
-# planner
-class MissingLanguageBudgetError(ConfigError):
-    pass
-
-
-class ZeroAvailabilityError(ConfigError):
     pass

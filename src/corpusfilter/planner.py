@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, MissingLanguageBudgetError, ZeroAvailabilityError
+from .errors import ConfigError
 
 CHINCHILLA_TOKENS_PER_PARAM = 20.0
 HARD_EPOCH_LIMIT = 10.0
@@ -84,17 +84,15 @@ def plan_mix(plan: TrainingPlan, budgets: list[dict]) -> list[DatasetBudget]:
     for lw in plan.languages:
         entries = by_lang.get(lw.lang)
         if not entries:
-            raise MissingLanguageBudgetError(f"no budget entry for language {lw.lang!r}")
+            raise ConfigError(f"no budget entry for language {lw.lang!r}")
         lang_required = total * lw.weight
         lang_available = sum(float(e["available_tokens"]) for e in entries)
         if lang_available <= 0:
-            raise ZeroAvailabilityError(f"zero available tokens for language {lw.lang!r}")
+            raise ConfigError(f"zero available tokens for language {lw.lang!r}")
         for e in entries:
             avail = float(e["available_tokens"])
             if avail <= 0:
-                raise ZeroAvailabilityError(
-                    f"dataset {e['dataset']!r} has zero available tokens"
-                )
+                raise ConfigError(f"dataset {e['dataset']!r} has zero available tokens")
             required = lang_required * (avail / lang_available)
             epochs = required / avail
             rows.append(

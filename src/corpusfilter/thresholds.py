@@ -35,13 +35,7 @@ from .corpus_io import (
     write_score_records,
 )
 from .embedding import EmbeddingProviderConfig, embed_texts, get_provider
-from .errors import (
-    DataError,
-    DimensionMismatchError,
-    EmptyScoresError,
-    MissingScoreError,
-    PercentileOutOfRangeError,
-)
+from .errors import ConfigError, DataError, DimensionMismatchError, MissingScoreError
 
 HISTOGRAM_BINS = 100
 PERCENTILE_PRESETS = (30.0, 60.0, 90.0, 95.0)
@@ -72,10 +66,10 @@ def percentile_thresholds(scores, percentiles) -> list[float]:
     is at 1-indexed rank ceil(p/100 * n)."""
     scores = np.sort(np.asarray(scores, dtype=np.float64))
     if scores.size == 0:
-        raise EmptyScoresError("no scores to take a percentile of")
+        raise DataError("no scores to take a percentile of")
     for percentile in percentiles:
         if not 0.0 < percentile < 100.0:
-            raise PercentileOutOfRangeError(f"percentile {percentile} outside (0, 100)")
+            raise ConfigError(f"percentile {percentile} outside (0, 100)")
     return [float(scores[math.ceil(p / 100.0 * scores.size) - 1]) for p in percentiles]
 
 
@@ -93,6 +87,13 @@ def _score_shard(path: str, provider, clf) -> tuple[str, list[str], list[float]]
     return os.path.basename(path), [d.id for d in docs], scores.tolist()
 
 
+def _check_dim(provider_config: EmbeddingProviderConfig, clf: clf_mod.LinearClassifier) -> None:
+    if provider_config.dim != clf.dim:
+        raise DimensionMismatchError(
+            f"provider dim {provider_config.dim} != classifier dim {clf.dim}"
+        )
+
+
 def score_corpus(
     manifest: CorpusManifest,
     provider_config: EmbeddingProviderConfig,
@@ -108,10 +109,7 @@ def score_corpus(
     memory holds at most that many shards. The file is written atomically:
     an error leaves the previous one in place.
     """
-    if provider_config.dim != clf.dim:
-        raise DimensionMismatchError(
-            f"provider dim {provider_config.dim} != classifier dim {clf.dim}"
-        )
+    _check_dim(provider_config, clf)
     score = partial(_score_shard, provider=get_provider(provider_config), clf=clf)
     paths = iter(manifest.shard_paths)
     if workers > 1:
@@ -222,7 +220,9 @@ def sample_scores(
 ) -> dict[FirstFile | RandomFiles, np.ndarray]:
     """The classifier scores of each strategy's sample, keyed by strategy.
     Equal strategies draw the same sample, so each distinct one is embedded
-    and scored once, in the order given."""
+    and scored once, in the order given; dims that differ fail before any
+    text is embedded."""
+    _check_dim(provider_config, clf)
     provider = get_provider(provider_config)
     return {
         strategy: clf_mod.score_batch(clf, embed_texts(

@@ -28,7 +28,7 @@ from corpusfilter.clustering import (
 )
 from corpusfilter.corpus_io import CorpusManifest, read_shard, write_shard
 from corpusfilter.embedding import embed_batch
-from corpusfilter.errors import DimensionMismatchError
+from corpusfilter.errors import DimensionMismatchError, MissingScoreError
 from corpusfilter.planner import plan_mix, tokens_for_steps
 from corpusfilter.thresholds import (
     apply_filter,
@@ -119,8 +119,17 @@ def test_criterion_03_selection_rule_exactness(tmp_path):
     elapsed = time.perf_counter() - start
     assert mismatches == 0
     assert elapsed < 30.0
+
+    # a document without a score fails the filter instead of vanishing from it
+    with open(scores_path, "rb") as fh:
+        lines = fh.readlines()
+    dropped = json.loads(lines.pop(5000))["doc_id"]
+    with open(scores_path, "wb") as fh:
+        fh.writelines(lines)
+    with pytest.raises(MissingScoreError, match=dropped):
+        apply_filter(manifest, scores_path, tau, str(tmp_path / "unjoinable"))
     report(3, f"10k-doc corpus, filter output matches brute-force re-scoring "
-              f"oracle exactly in {elapsed:.1f}s")
+              f"oracle exactly in {elapsed:.1f}s; a document without a score fails it")
 
 
 def test_criterion_04_retention_calibration():

@@ -318,10 +318,10 @@ def set_embedding(key, value):
 
 @pytest.mark.parametrize("edit", [
     retrain, edit_manifest, edit_scores,
-    set_embedding("dim", 32), set_embedding("ngram_range", [1, 3]),
+    set_embedding("ngram_range", [1, 3]),
     set_embedding("seed", 5), set_embedding("truncate_chars", 60),
     lambda cfg, cfg_path: os.remove(os.path.join(cfg["output_dir"], "score_report.json")),
-], ids=["classifier", "manifest", "scores", "dim", "ngram_range", "seed", "truncate_chars",
+], ids=["classifier", "manifest", "scores", "ngram_range", "seed", "truncate_chars",
         "no_score_report"])
 def test_threshold_embeds_when_the_scores_are_stale(tmp_path, monkeypatch, edit):
     threshold = {"strategy": "random_files", "n_random": 2, "compare": True}
@@ -331,6 +331,16 @@ def test_threshold_embeds_when_the_scores_are_stale(tmp_path, monkeypatch, edit)
     assert stale[2] > 0
     os.rename(cfg["scores"], cfg["scores"] + ".away")
     assert stale == threshold_outcome(cfg, cfg_path, monkeypatch)
+
+
+def test_threshold_checks_the_dim_before_embedding(tmp_path, monkeypatch, capsys):
+    cfg, cfg_path = scored_workspace(tmp_path, {"strategy": "random_files", "n_random": 2,
+                                                "compare": True})
+    set_embedding("dim", 32)(cfg, cfg_path)
+    embedded = count_embedded(monkeypatch)
+    assert run("threshold", cfg_path) == 3
+    assert "provider dim 32 != classifier dim 64" in capsys.readouterr().err
+    assert sum(embedded) == 0
 
 
 def test_a_malformed_score_report_is_a_data_error(tmp_path, capsys):

@@ -24,18 +24,7 @@ from corpusfilter.clustering import (
     load_cluster_model,
     save_cluster_model,
 )
-from corpusfilter.errors import (
-    ClusterCountError,
-    ConfigError,
-    DataError,
-    DimensionMismatchError,
-    EmptyDatasetError,
-    EmptyHistogramError,
-    IterationCountError,
-    LengthMismatchError,
-    NonFinitePointError,
-    TooFewPointsError,
-)
+from corpusfilter.errors import ConfigError, DataError, DimensionMismatchError
 
 
 def two_blobs(n, separation=8.0, dim=4, seed=0):
@@ -280,9 +269,8 @@ def test_kmeans_pp_init_equals_the_choice_reference():
 def test_non_finite_point_is_a_data_error(K, bad):
     X, _ = two_blobs(40, seed=2)
     X[17, 2] = bad
-    with pytest.raises(NonFinitePointError, match="point 17 "):
+    with pytest.raises(DataError, match="point 17 "):
         fit_balanced_kmeans(X, K=K, seed=0)
-    assert issubclass(NonFinitePointError, DataError)
 
 
 @pytest.mark.parametrize("K", [1, 4])
@@ -291,14 +279,14 @@ def test_non_finite_point_fails_assignment_and_histogram(K, bad):
     X, _ = two_blobs(40, seed=2)
     model = fit_balanced_kmeans(X, K=K, seed=0)
     X[17, 2] = bad
-    with pytest.raises(NonFinitePointError, match="point 17 "):
+    with pytest.raises(DataError, match="point 17 "):
         assign_batch(model, X)
-    with pytest.raises(NonFinitePointError, match="point 17 "):
+    with pytest.raises(DataError, match="point 17 "):
         histogram_over_clusters(model, X, "bad")
     # a histogram names the row of its dataset, not of the block it is in
     X = np.tile(X[:16], (_BLOCK_ROWS // 16 + 2, 1))
     X[_BLOCK_ROWS + 3, 1] = bad
-    with pytest.raises(NonFinitePointError, match=f"point {_BLOCK_ROWS + 3} "):
+    with pytest.raises(DataError, match=f"point {_BLOCK_ROWS + 3} "):
         histogram_over_clusters(model, X, "bad")
 
 
@@ -335,25 +323,22 @@ def test_fit_and_histogram_memory_is_linear():
 
 
 def test_too_few_points():
-    with pytest.raises(TooFewPointsError):
+    with pytest.raises(DataError, match="3 points cannot fill 5 clusters"):
         fit_balanced_kmeans(np.zeros((3, 2)), K=5, seed=0)
 
 
 @pytest.mark.parametrize("K", [0, -2])
 def test_k_below_one_is_a_config_error(K):
     X, _ = two_blobs(20, seed=3)
-    with pytest.raises(ClusterCountError, match=f"K must be at least 1, not {K}"):
+    with pytest.raises(ConfigError, match=f"K must be at least 1, not {K}"):
         fit_balanced_kmeans(X, K=K, seed=0)
-    assert issubclass(ClusterCountError, ConfigError)
 
 
 @pytest.mark.parametrize("max_iters", [0, -1])
 def test_max_iters_below_one_is_a_config_error(max_iters):
     X, _ = two_blobs(20, seed=3)
-    with pytest.raises(IterationCountError,
-                       match=f"max_iters must be at least 1, not {max_iters}"):
+    with pytest.raises(ConfigError, match=f"max_iters must be at least 1, not {max_iters}"):
         fit_balanced_kmeans(X, K=2, seed=0, max_iters=max_iters)
-    assert issubclass(IterationCountError, ConfigError)
 
 
 def test_fit_deterministic():
@@ -461,9 +446,9 @@ def test_histogram_over_blocks_equals_one_assignment():
 def test_histogram_empty_dataset():
     X, _ = two_blobs(20, seed=11)
     model = fit_balanced_kmeans(X, K=2, seed=11)
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(DataError, match="dataset 'empty' is empty"):
         histogram_over_clusters(model, [], "empty")
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(DataError, match="dataset 'empty' is empty"):
         histogram_over_clusters(model, np.empty((0, 4)), "empty")
 
 
@@ -502,9 +487,9 @@ def test_tv_metric_properties():
 def test_tv_errors():
     a = ClusterHistogram("a", [1, 2])
     b = ClusterHistogram("b", [1, 2, 3])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataError, match="K mismatch: 2 vs 3"):
         histogram_distance(a, b)
-    with pytest.raises(EmptyHistogramError):
+    with pytest.raises(DataError, match="cannot compare an empty histogram"):
         histogram_distance(a, ClusterHistogram("z", [0, 0]))
 
 

@@ -19,7 +19,7 @@ from corpusfilter.corpus_io import (
     write_score_records,
     write_shard,
 )
-from corpusfilter.errors import DataError, EmptyCorpusError
+from corpusfilter.errors import DataError
 
 from conftest import make_corpus, make_docs, save_manifest
 
@@ -337,7 +337,7 @@ def test_empty_corpus_error(tmp_path):
     path = str(tmp_path / "empty.jsonl")
     open(path, "w").close()
     manifest = CorpusManifest(corpus_name="e", lang="en", shard_paths=[path])
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(DataError, match="no documents in the sampled shards"):
         sample_documents(manifest, FirstFile(), max_docs=10)
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import tarfile
 
+from corpusfilter import errors
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -93,3 +95,19 @@ def test_every_top_level_function_and_class_is_named_in_src():
                 if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
                     named.add(name)
     assert sorted(defined - named - traced_names() - UNNAMED_IN_SRC.keys()) == []
+
+
+def test_every_error_class_is_a_family_or_an_acceptance_subclass():
+    """The CLI tells failures apart by exit code alone, so an error class is
+    ToolkitError, one of the three families with an exit code of its own, or
+    a subclass of a family that the acceptance suite names."""
+    with open(os.path.join(REPO, "tests", "test_acceptance.py"), encoding="utf-8") as fh:
+        acceptance = {getattr(node, "id", None) for node in ast.walk(ast.parse(fh.read()))}
+    families = (errors.ConfigError, errors.DataError, errors.RemoteProviderError)
+    codes = [cls.exit_code for cls in (errors.ToolkitError, *families)]
+    assert all("exit_code" in vars(cls) for cls in families) and len(set(codes)) == 4
+    stray = [name for name, cls in vars(errors).items()
+             if isinstance(cls, type) and cls is not errors.ToolkitError and cls not in families
+             and not (issubclass(cls, families) and "exit_code" not in vars(cls)
+                      and name in acceptance)]
+    assert stray == []

@@ -23,12 +23,7 @@ from corpusfilter.corpus_io import (
     write_shard,
 )
 from corpusfilter.embedding import HashedNgramProvider, embed_texts, get_provider
-from corpusfilter.errors import (
-    DataError,
-    EmptyScoresError,
-    MissingScoreError,
-    PercentileOutOfRangeError,
-)
+from corpusfilter.errors import ConfigError, DataError, MissingScoreError
 from corpusfilter.thresholds import (
     PERCENTILE_PRESETS,
     apply_filter,
@@ -65,12 +60,12 @@ def test_all_equal_scores_retain_nothing():
 
 
 def test_percentile_errors():
-    with pytest.raises(EmptyScoresError):
+    with pytest.raises(DataError, match="no scores to take a percentile of"):
         estimate_percentile_threshold([], 50)
     for p in (0, 100, -5, 120):
-        with pytest.raises(PercentileOutOfRangeError):
+        with pytest.raises(ConfigError, match=rf"percentile {p} outside \(0, 100\)"):
             estimate_percentile_threshold([0.5], p)
-        with pytest.raises(PercentileOutOfRangeError):
+        with pytest.raises(ConfigError, match=rf"percentile {p} outside \(0, 100\)"):
             percentile_thresholds([0.5], [50, p])
 
 
