@@ -243,6 +243,7 @@ def cmd_score(cfg: dict, stamp: dict) -> int:
     manifest = load_manifest(cfg["corpus"]["manifest"])
     clf = clf_mod.load_classifier(cfg["classifier"])
     out_path = _scores_path(cfg)
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     count = thresholds.score_corpus(manifest, pcfg, clf, out_path, workers=cfg.get("workers", 1))
     write_json(_score_report_path(out_path),
                {**stamp, "digests": _score_digests(cfg, pcfg, manifest, out_path)})

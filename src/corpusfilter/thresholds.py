@@ -162,21 +162,20 @@ def apply_filter(
     records left over after the last document are ignored. A kept
     document's line is copied byte for byte, and each shard is written
     atomically. Memory holds a block of shard lines and one of score lines,
-    16 bytes per document of the current shard (score and id hash), and the
-    sorted 8-byte hashes of all ids so far, which catch an id that repeats.
+    8 bytes of score per document of the current shard, and one 8-byte id
+    hash per document of the corpus. The hashes are sorted once, after the
+    last shard is written, so an id that repeats fails the run there.
     """
     os.makedirs(out_dir, exist_ok=True)
     records = read_score_records(scores_path)
-    seen = np.empty(0, dtype=np.int64)  # sorted hashes of the ids so far
+    hashes = array("q")  # hash(doc_id) of every document, in manifest order
     hist = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-    docs_in = 0
     docs_out = 0
     docs_malformed = 0
     for path in manifest.shard_paths:
         shard_scores = array("d")
-        shard_hashes = array("q")
         stream = read_shard(path)
-        add_score, add_hash = shard_scores.append, shard_hashes.append
+        add_score, add_hash = shard_scores.append, hashes.append
         with shard_writer(os.path.join(out_dir, os.path.basename(path))) as out:
             write = out.write
             for doc in stream:
@@ -189,20 +188,18 @@ def apply_filter(
                     line = stream.line
                     write(line if line.endswith(b"\n") else line + b"\n")
                     docs_out += 1
-            seen = np.concatenate([seen, np.asarray(shard_hashes)])
-            seen.sort(kind="stable")  # a merge of two runs
-            if np.any(seen[1:] == seen[:-1]):
-                # every document took a record with its id, so a repeated
-                # id is scored twice and this raises; else hashes collided
-                load_scores(scores_path)
         # int(s * 100) per score: astype truncates toward zero like int()
         bins = (np.asarray(shard_scores) * HISTOGRAM_BINS).astype(np.int64)
         hist += np.bincount(np.minimum(bins, HISTOGRAM_BINS - 1), minlength=HISTOGRAM_BINS)
-        docs_in += len(shard_scores)
         docs_malformed += len(stream.malformed)
-    retention = docs_out / docs_in if docs_in else 0.0
+    hashes = np.sort(hashes)
+    if np.any(hashes[1:] == hashes[:-1]):
+        # every document took a record with its id, so a repeated id is
+        # scored twice and this raises; else two ids only share a hash
+        load_scores(scores_path)
+    retention = docs_out / len(hashes) if len(hashes) else 0.0
     return FilterStats(
-        docs_in=docs_in,
+        docs_in=len(hashes),
         docs_out=docs_out,
         docs_malformed=docs_malformed,
         retention=retention,

@@ -10,7 +10,7 @@ import yaml
 
 import corpusfilter
 
-from corpusfilter import cli, corpus_io
+from corpusfilter import cli, corpus_io, thresholds
 from corpusfilter.classifier import load_classifier
 from corpusfilter.cli import check_config, load_config, main
 from corpusfilter.corpus_io import (
@@ -607,19 +607,79 @@ def test_filter_rejects_two_shards_of_one_name_before_any_work(tmp_path, capsys)
     assert not os.path.exists(cfg["filter"]["out_dir"])
 
 
-def test_filter_rejects_duplicate_ids_naming_both_shards(tmp_path, capsys):
-    cfg, cfg_path, manifest = build_workspace(tmp_path)
+@pytest.mark.parametrize("n_shards", [2, 40])
+@pytest.mark.parametrize("repeat_in", ["scores", "shards"])
+def test_filter_rejects_duplicate_ids_naming_both_shards(tmp_path, capsys, n_shards, repeat_in):
+    """An id in the first and the last shard fails the run with exit 3, both
+    when two records repeat it and when two documents do."""
+    cfg, cfg_path, manifest = build_workspace(tmp_path, n_shards=n_shards, docs_per_shard=5)
     os.makedirs(cfg["output_dir"], exist_ok=True)
-    a, b = (os.path.basename(p) for p in manifest.shard_paths)
+    first, last = manifest.shard_paths[0], manifest.shard_paths[-1]
+    a, b = os.path.basename(first), os.path.basename(last)
+    if repeat_in == "scores":
+        records = [("x", 0.9, a), ("x", 0.1, b)]
+    else:
+        repeated = next(iter(read_shard(first))).id
+        docs = list(read_shard(last))
+        docs[-1].id = repeated
+        write_shard(last, docs)
+        records = [(d.id, 0.9, os.path.basename(path))
+                   for path in manifest.shard_paths for d in read_shard(path)]
     with open(cfg["scores"], "w") as fh:
-        fh.write(json.dumps({"doc_id": "x", "score": 0.9, "shard": a}) + "\n")
-        fh.write(json.dumps({"doc_id": "x", "score": 0.1, "shard": b}) + "\n")
+        for doc_id, score, shard in records:
+            fh.write(json.dumps({"doc_id": doc_id, "score": score, "shard": shard}) + "\n")
     cfg["filter"] = {"tau": 0.5}
     with open(cfg_path, "w") as fh:
         yaml.safe_dump(cfg, fh)
     assert run("filter", cfg_path) == 3
     err = capsys.readouterr().err
     assert a in err and b in err
+    assert not os.path.exists(os.path.join(cfg["output_dir"], "filter_stats.json"))
+
+
+def test_filter_confirms_colliding_id_hashes_once_per_run(tmp_path, monkeypatch):
+    """Ids that only share a hash are read back once, after the last shard,
+    and the run writes what it writes when no hash collides."""
+    cfg, cfg_path, manifest = build_workspace(tmp_path, n_shards=50, docs_per_shard=4)
+    assert run("train-filter", cfg_path) == 0
+    assert run("score", cfg_path) == 0
+    cfg["filter"] = {"tau": 0.5, "out_dir": cfg["filter"]["out_dir"]}
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    names = [os.path.basename(p) for p in manifest.shard_paths]
+    artefacts = [os.path.join(cfg["filter"]["out_dir"], n) for n in names]
+    artefacts.append(os.path.join(cfg["output_dir"], "filter_stats.json"))
+
+    def written():
+        out = {}
+        for path in artefacts:
+            with open(path, "rb") as fh:
+                out[path] = fh.read()
+        return out
+
+    assert run("filter", cfg_path) == 0
+    expected = written()
+    calls = []
+    load_scores = thresholds.load_scores
+    monkeypatch.setattr(thresholds, "load_scores",
+                        lambda path: calls.append(path) or load_scores(path))
+    monkeypatch.setattr(thresholds, "hash", lambda _: 7, raising=False)
+    for path in artefacts:
+        os.remove(path)
+    assert run("filter", cfg_path) == 0
+    assert calls == [cfg["scores"]]
+    assert written() == expected
+
+
+def test_score_makes_the_directory_of_the_scores(tmp_path):
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    assert run("train-filter", cfg_path) == 0
+    cfg["scores"] = str(tmp_path / "new" / "dir" / "scores.jsonl")
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    assert run("score", cfg_path) == 0
+    assert os.path.getsize(cfg["scores"]) > 0
+    assert os.path.exists(str(tmp_path / "new" / "dir" / "score_report.json"))
 
 
 BAD_SCORE_RECORDS = {

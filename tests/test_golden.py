@@ -71,7 +71,6 @@ def build_workspace(root) -> str:
     save_manifest(manifest, manifest_path)
 
     out = root / "out"
-    out.mkdir()  # `score` writes into it before any command makes it
     cfg_path = str(root / "config.json")  # YAML reads JSON
     write_json(cfg_path, {
         "seed": 0,
