@@ -63,12 +63,8 @@ class TrainConfig:
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))  # exp(-|z|) never overflows; a NaN keeps its sign
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:

@@ -270,15 +270,12 @@ def fit_balanced_kmeans(
         new_labels = _balanced_assign(_sq_distances(X, centroids, xx), capacity)
         new_centroids = _cluster_means(X, new_labels, centroids)
         wcss = _wcss(X, new_centroids, new_labels)
-        # greedy assignment is not globally optimal, so keep the best state
-        # seen and stop as soon as the objective fails to improve
+        # greedy assignment is not globally optimal, so keep the best state seen
+        # and stop when the objective fails to improve, as it does once labels repeat
         if labels is not None and wcss >= best_wcss - 1e-12:
             break
-        converged = labels is not None and np.array_equal(new_labels, labels)
         labels, centroids, best_wcss = new_labels, new_centroids, wcss
         history.append(wcss)
-        if converged:
-            break
 
     model = ClusterModel(centroids=centroids, K=K, dim=dim, capacity=capacity, seed=seed)
     model.labels_ = labels

@@ -78,13 +78,18 @@ def estimate_percentile_threshold(scores, percentile: float) -> float:
     return percentile_thresholds(scores, [percentile])[0]
 
 
+def _scored(docs, provider, clf):
+    """(id, score) of each of `docs`, embedded and scored `batch_size` at a time."""
+    docs = iter(docs)
+    while batch := list(islice(docs, provider.config.batch_size)):
+        scores = clf_mod.score_batch(clf, embed_texts(provider, [d.text for d in batch]))
+        yield from zip([d.id for d in batch], scores.tolist())
+
+
 def _score_shard(path: str, provider, clf) -> tuple[str, list[str], list[float]]:
     """(shard name, ids, scores) of the documents of the shard at `path`."""
-    docs = list(read_shard(path))
-    if not docs:
-        return os.path.basename(path), [], []
-    scores = clf_mod.score_batch(clf, embed_texts(provider, [d.text for d in docs]))
-    return os.path.basename(path), [d.id for d in docs], scores.tolist()
+    scored = list(_scored(read_shard(path), provider, clf))
+    return os.path.basename(path), [i for i, _ in scored], [s for _, s in scored]
 
 
 def _check_dim(provider_config: EmbeddingProviderConfig, clf: clf_mod.LinearClassifier) -> None:
@@ -105,9 +110,9 @@ def score_corpus(
 
     Shards are scored on `workers` threads, at most `2 * workers` ahead of
     the writer, and each shard's records are written in manifest order as
-    soon as it is scored: the output is the same for any worker count, and
-    memory holds at most that many shards. The file is written atomically:
-    an error leaves the previous one in place.
+    soon as it is scored, so the output is the same for any worker count and
+    memory holds a batch of rows per worker and the ids and scores of that
+    many shards. The file is written atomically: an error keeps the old one.
     """
     _check_dim(provider_config, clf)
     score = partial(_score_shard, provider=get_provider(provider_config), clf=clf)
@@ -217,13 +222,13 @@ def sample_scores(
 ) -> dict[FirstFile | RandomFiles, np.ndarray]:
     """The classifier scores of each strategy's sample, keyed by strategy.
     Equal strategies draw the same sample, so each distinct one is embedded
-    and scored once, in the order given; dims that differ fail before any
-    text is embedded."""
+    and scored once, in the order given, a batch of rows at a time; dims
+    that differ fail before any text is embedded."""
     _check_dim(provider_config, clf)
     provider = get_provider(provider_config)
     return {
-        strategy: clf_mod.score_batch(clf, embed_texts(
-            provider, [d.text for d in sample_documents(manifest, strategy, max_docs)]))
+        strategy: np.fromiter((score for _, score in _scored(
+            sample_documents(manifest, strategy, max_docs), provider, clf)), dtype=np.float64)
         for strategy in dict.fromkeys(strategies)
     }
 

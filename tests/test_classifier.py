@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +158,42 @@ def test_score_monotone_in_logit():
     scores = score_batch(clf, X)
     order = np.argsort(logits)
     assert np.all(np.diff(scores[order]) >= 0)
+
+
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The masked two-pass form: each sign's exp over a gathered copy."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def sigmoid_matches_the_reference() -> bool:
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.normal(0.0, s, 20_000) for s in (1, 4, 40, 700)]
+                       + [np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])])
+    return np.array_equal(sigmoid(z).view(np.int64), reference_sigmoid(z).view(np.int64))
+
+
+# numpy 2.4.6 dispatches float64 exp by CPU above its X86_V2 baseline: these
+# turn off its AVX512 targets, then its AVX2 one too. On a CPU without AVX512
+# the first setting changes nothing, and numpy ignores names it cannot turn off
+@pytest.mark.parametrize("disabled", [None, "X86_V4 AVX512_ICL AVX512_SPR",
+                                      "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
+def test_sigmoid_gives_the_bits_of_the_masked_form(disabled):
+    if disabled is None:
+        assert sigmoid_matches_the_reference()
+        return
+    here = os.path.dirname(__file__)
+    src = os.path.join(here, "..", "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": os.pathsep.join([src, here])}
+    code = "import test_classifier as t; assert t.sigmoid_matches_the_reference()"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_normalising_classifier_normalises_each_row_once():

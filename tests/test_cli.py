@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 
@@ -195,6 +196,20 @@ def test_bad_remote_body_exits_4(tmp_path, mock_server, mode, capsys):
     MockEmbedHandler.mode = mode
     assert run("train-filter", cfg_path) == 4
     assert f"{mock_server}/embed" in capsys.readouterr().err
+
+
+def test_embedding_env_overrides_the_endpoint_and_sends_the_token(tmp_path, mock_server,
+                                                                    monkeypatch):
+    cfg, cfg_path, _ = build_workspace(tmp_path)
+    with socket.socket() as closed:  # bound, never listening: it refuses connections
+        closed.bind(("127.0.0.1", 0))
+        refused = "http://127.0.0.1:%d" % closed.getsockname()[1]
+        cfg["embedding"] = {"kind": "remote", "dim": 384, "endpoint": refused}
+        write_config(cfg_path, cfg)
+        monkeypatch.setenv(cli.ENDPOINT_ENV, mock_server)
+        monkeypatch.setenv(cli.TOKEN_ENV, "s3cret")
+        assert run("train-filter", cfg_path) == 0
+    assert MockEmbedHandler.auth and set(MockEmbedHandler.auth) == {"Bearer s3cret"}
 
 
 # each of these slowed every command's start-up: scipy.stats by over a
@@ -841,6 +856,12 @@ BAD_CONFIGS = {
                                      "datasets": [{"name": "d",
                                                    "manifest": c["corpus"]["manifest"]}] * 2}),
         "clusters.datasets[1].name repeats 'd'"),
+    "percentiles_not_a_list": ("threshold", lambda c: c.update(percentiles=5),
+                               "percentiles must be a list"),
+    "classifier_not_a_string": ("score", lambda c: c.update(classifier=5),
+                                "classifier must be a str, not 5"),
+    "compare_not_a_bool": ("threshold", lambda c: c["threshold"].update(compare="yes"),
+                           "threshold.compare must be a bool, not 'yes'"),
     "plan_language_weight_zero": (
         "plan", lambda c: c.update(plan={**PLAN, "languages": [{"lang": "en", "weight": 0}]}),
         "plan.languages[0].weight must be positive, not 0.0"),
@@ -860,6 +881,29 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, name):
     assert f"config key {key}" in capsys.readouterr().err
     assert not os.path.exists(cfg["output_dir"])
     assert embedded == []  # the config is checked before any work
+
+
+CONFIG_ERRORS = {
+    # name: (command, the build_workspace config as it is written, the message)
+    "root_a_list": ("score", lambda c: [c], "root must be a mapping"),
+    "unknown_strategy": ("threshold", lambda c: {**c, "threshold": {"strategy": "median"}},
+                         "unknown sampling strategy 'median'"),
+    "filter_without_tau_or_report": (
+        "filter", lambda c: c,
+        "no filter.tau given and no matching threshold_report.json estimate found"),
+    "train_without_seed_documents": (
+        "train-filter", lambda c: {**c, "train": {"positives": [], "negatives": []}},
+        "train section provided no seed documents"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_ERRORS))
+def test_config_error_exits_2_with_its_message(tmp_path, capsys, name):
+    command, edit, message = CONFIG_ERRORS[name]
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    write_config(cfg_path, edit(cfg))
+    assert run(command, cfg_path) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_hashed_dim_below_8_stops_train_filter_before_any_shard_is_read(tmp_path, capsys,

@@ -150,6 +150,7 @@ class MockEmbedHandler(BaseHTTPRequestHandler):
     fail_first = 0
     calls = []
     texts = []  # the texts of each request
+    auth = []  # the Authorization header of each request, or None
     mode = "vectors"  # or "not_json", "no_vectors": a bad 200 response
 
     def do_POST(self):
@@ -157,6 +158,7 @@ class MockEmbedHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         cls.calls.append(len(body["texts"]))
         cls.texts.append(body["texts"])
+        cls.auth.append(self.headers.get("Authorization"))
         if cls.fail_first > 0:
             cls.fail_first -= 1
             self.send_response(503)
@@ -188,6 +190,7 @@ def mock_server(monkeypatch):
     MockEmbedHandler.fail_first = 0
     MockEmbedHandler.calls = []
     MockEmbedHandler.texts = []
+    MockEmbedHandler.auth = []
     MockEmbedHandler.mode = "vectors"
     server = HTTPServer(("127.0.0.1", 0), MockEmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

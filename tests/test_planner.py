@@ -161,6 +161,18 @@ def test_zero_availability():
         )
 
 
+def test_a_dataset_with_zero_tokens_in_a_language_with_some():
+    with pytest.raises(ConfigError, match="dataset 'c' has zero available tokens"):
+        plan_mix(
+            bilingual_plan(),
+            [
+                {"dataset": "a", "lang": "en", "available_tokens": 1e9},
+                {"dataset": "b", "lang": "fr", "available_tokens": 1e9},
+                {"dataset": "c", "lang": "fr", "available_tokens": 0.0},
+            ],
+        )
+
+
 def test_weights_must_sum_to_one():
     with pytest.raises(ConfigError):
         bilingual_plan(weights=(0.5, 0.6))

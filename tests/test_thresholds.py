@@ -639,3 +639,52 @@ def test_score_memory_does_not_grow_with_shard_count(tmp_path):
             tracemalloc.stop()
         assert count == 1500 * len(shards)
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of calling `run`."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def corpora_by_shard_size(tmp_path_factory):
+    """Two 4-shard corpora, of 1000 and of 4000 documents a shard."""
+    return [make_corpus(tmp_path_factory.mktemp(f"docs{n}"), n_shards=4, docs_per_shard=n)
+            for n in (1000, 4000)]
+
+
+def test_score_memory_does_not_grow_with_shard_size(tmp_path, corpora_by_shard_size):
+    # a worker holds one batch of rows, and the ids and scores of its shard
+    clf = LinearClassifier(w=np.linspace(-1.0, 1.0, 384), b=0.0, dim=384)
+    out = str(tmp_path / "s.jsonl")
+    peaks = [traced_peak(lambda: score_corpus(manifest, hashed_config(dim=384), clf, out))
+             for manifest in corpora_by_shard_size]
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_sampled_scores_hold_one_batch_of_rows(corpora_by_shard_size):
+    # the sample's documents grow with it, but not its rows
+    clf = LinearClassifier(w=np.linspace(-1.0, 1.0, 384), b=0.0, dim=384)
+    strategy = RandomFiles(3, 0)
+    peaks = [traced_peak(lambda: sample_scores(manifest, hashed_config(dim=384), clf, [strategy]))
+             for manifest in corpora_by_shard_size]
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_a_shard_of_only_bad_lines_adds_no_score_records(tmp_path, seed_classifier):
+    clf, _, _ = seed_classifier
+    manifest = make_corpus(tmp_path, n_shards=3, docs_per_shard=5)
+    bad = tmp_path / "shard_000_bad.jsonl"  # sorts between the first two shards
+    bad.write_bytes(b'{not json at all\n\n  \n{"id": 5}\n')
+    with_bad = CorpusManifest(corpus_name="c", lang="en",
+                              shard_paths=manifest.shard_paths + [str(bad)])
+    assert with_bad.shard_paths[1] == str(bad)
+    outs = [str(tmp_path / "with_bad.jsonl"), str(tmp_path / "without.jsonl")]
+    assert score_corpus(with_bad, hashed_config(), clf, outs[0]) == 15
+    assert score_corpus(manifest, hashed_config(), clf, outs[1]) == 15
+    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
