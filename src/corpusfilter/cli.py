@@ -165,9 +165,7 @@ def provider_config(cfg: dict) -> EmbeddingProviderConfig:
 
 
 def _out_dir(cfg: dict) -> str:
-    out = cfg.get("output_dir", "out")
-    os.makedirs(out, exist_ok=True)
-    return out
+    return cfg.get("output_dir", "out")
 
 
 def _load_seed_documents(train_cfg: dict) -> tuple[list[str], list[int], str]:
@@ -243,7 +241,6 @@ def cmd_score(cfg: dict, stamp: dict) -> int:
     manifest = load_manifest(cfg["corpus"]["manifest"])
     clf = clf_mod.load_classifier(cfg["classifier"])
     out_path = _scores_path(cfg)
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     count = thresholds.score_corpus(manifest, pcfg, clf, out_path, workers=cfg.get("workers", 1))
     write_json(_score_report_path(out_path),
                {**stamp, "digests": _score_digests(cfg, pcfg, manifest, out_path)})
@@ -260,6 +257,10 @@ def _scores_are_this_runs(cfg: dict, pcfg, manifest, scores_path: str) -> bool:
     report = corpus_io.load_json_object(report_path, "score report",
                                         {"digests": dict.fromkeys(digests, str)})
     return report["digests"] == digests
+
+
+def _threshold_report_path(cfg: dict) -> str:
+    return os.path.join(_out_dir(cfg), "threshold_report.json")
 
 
 def cmd_threshold(cfg: dict, stamp: dict) -> int:
@@ -294,8 +295,7 @@ def cmd_threshold(cfg: dict, stamp: dict) -> int:
         report["strategy_comparison"] = thresholds.compare_scores(
             scores[first], scores[rand], th_cfg.get("percentile", 90.0)
         )
-    out = os.path.join(_out_dir(cfg), "threshold_report.json")
-    write_json(out, report)
+    write_json(_threshold_report_path(cfg), report)
     for e in estimates:
         print(f"p{e.percentile:g}: tau={e.tau:.6f} (n={e.sample_size}, {e.strategy})")
     return 0
@@ -305,7 +305,7 @@ def _resolve_tau(cfg: dict) -> float:
     f_cfg = cfg["filter"]
     if "tau" in f_cfg:
         return f_cfg["tau"]
-    report_path = os.path.join(_out_dir(cfg), "threshold_report.json")
+    report_path = _threshold_report_path(cfg)
     percentile = f_cfg.get("percentile", 90.0)
     if os.path.exists(report_path):
         report = corpus_io.load_json_object(report_path, "threshold report",
@@ -347,20 +347,20 @@ def cmd_clusters(cfg: dict, stamp: dict) -> int:
     pcfg = provider_config(cfg)
     fit_cfg = cl_cfg["fit"]
     K = cl_cfg.get("k", 64)
-    # read every dataset entry before the first artefact is written
+    # read every dataset entry before anything is embedded
     datasets = [(e["name"], e["manifest"], e.get("max_docs", 10_000))
                 for e in cl_cfg.get("datasets", ())]
     X = _embed_manifest_sample(fit_cfg["manifest"], pcfg, fit_cfg.get("max_docs", 200_000))
     model = clustering.fit_balanced_kmeans(
         X, K, seed=cfg.get("seed", 0), max_iters=cl_cfg.get("max_iters", 50)
     )
-    out = _out_dir(cfg)
-    clustering.save_cluster_model(model, os.path.join(out, "cluster_model.json"))
-
+    # every dataset is embedded before the first artefact is written
     histograms = [
         clustering.histogram_over_clusters(model, _embed_manifest_sample(path, pcfg, n), name)
         for name, path, n in datasets
     ]
+    out = _out_dir(cfg)
+    clustering.save_cluster_model(model, os.path.join(out, "cluster_model.json"))
     names = [h.dataset_name for h in histograms]
     tv = [
         [clustering.histogram_distance(a, b) for b in histograms] for a in histograms
@@ -427,8 +427,7 @@ def cmd_report(cfg: dict, stamp: dict) -> int:
         taus = thresholds.percentile_thresholds(values, percentiles)
         columns[e["name"]] = {f"{p:g}": tau for p, tau in zip(percentiles, taus)}
     report = {**stamp, "percentiles": list(percentiles), "table": columns}
-    out = os.path.join(_out_dir(cfg), "percentile_table.json")
-    write_json(out, report)
+    write_json(os.path.join(_out_dir(cfg), "percentile_table.json"), report)
 
     csv_path = os.path.join(_out_dir(cfg), "percentile_table.csv")
     corpus_io.write_csv(csv_path, [["percentile", *columns]] + [
@@ -482,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ConfigError.exit_code
 

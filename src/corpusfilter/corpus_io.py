@@ -73,9 +73,10 @@ class MalformedRecord(NamedTuple):
 
 @contextlib.contextmanager
 def atomic_write(path: str, mode: str = "w") -> Iterator[IO]:
-    """Open a temporary file beside `path` for writing ("w" for UTF-8 text,
-    "wb" for bytes). A clean exit moves it onto `path` with `os.replace`; an
-    error removes it, so `path` never holds a partial write."""
+    """Open a temporary file beside `path`, in a directory made if missing, for
+    writing ("w" for UTF-8 text, "wb" for bytes). A clean exit moves it onto
+    `path` with `os.replace`; an error removes it, so `path` never holds a partial write."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, BLOCK_BYTES, None if "b" in mode else "utf-8") as fh:

@@ -171,7 +171,6 @@ def apply_filter(
     hash per document of the corpus. The hashes are sorted once, after the
     last shard is written, so an id that repeats fails the run there.
     """
-    os.makedirs(out_dir, exist_ok=True)
     records = read_score_records(scores_path)
     hashes = array("q")  # hash(doc_id) of every document, in manifest order
     hist = np.zeros(HISTOGRAM_BINS, dtype=np.int64)

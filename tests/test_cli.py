@@ -612,7 +612,6 @@ def test_filter_rejects_two_shards_of_one_name_before_any_work(tmp_path, capsys)
         write_shard(paths[-1], docs)
         runs.append(("shard.jsonl", [doc.id for doc in docs], [0.9] * len(docs)))
     write_json(cfg["corpus"]["manifest"], {"corpus_name": "c", "lang": "en", "shards": paths})
-    os.makedirs(cfg["output_dir"])
     corpus_io.write_score_records(cfg["scores"], runs)
     cfg["filter"] = {"tau": 0.5, "out_dir": str(tmp_path / "filtered")}
     write_config(cfg_path, cfg)
@@ -684,6 +683,26 @@ def test_filter_confirms_colliding_id_hashes_once_per_run(tmp_path, monkeypatch)
     assert run("filter", cfg_path) == 0
     assert calls == [cfg["scores"]]
     assert written() == expected
+
+
+def test_score_records_after_the_last_document_are_ignored(tmp_path):
+    cfg, cfg_path, manifest = build_workspace(tmp_path, docs_per_shard=20)
+    cfg["filter"] = {"tau": 0.5, "out_dir": str(tmp_path / "filtered")}
+    write_config(cfg_path, cfg)
+    artefacts = [os.path.join(cfg["filter"]["out_dir"], os.path.basename(path))
+                 for path in manifest.shard_paths]
+    artefacts.append(os.path.join(cfg["output_dir"], "filter_stats.json"))
+
+    def filtered():
+        assert run("filter", cfg_path) == 0
+        return [open(path, "rb").read() for path in artefacts]
+
+    for command in ("train-filter", "score"):
+        assert run(command, cfg_path) == 0
+    expected = filtered()
+    with open(cfg["scores"], "ab") as fh:
+        fh.write(b'{"doc_id": "extra", "score": 0.9, "shard": "shard_001.jsonl"}\n{not json\n')
+    assert filtered() == expected
 
 
 def test_score_makes_the_directory_of_the_scores(tmp_path):
@@ -901,9 +920,74 @@ CONFIG_ERRORS = {
 def test_config_error_exits_2_with_its_message(tmp_path, capsys, name):
     command, edit, message = CONFIG_ERRORS[name]
     cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    del cfg["scores"]  # so that the default path under output_dir is used
     write_config(cfg_path, edit(cfg))
     assert run(command, cfg_path) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(cfg["output_dir"])
+
+
+def clusters_over_a_blank_shard(cfg, tmp_path):
+    blank = str(tmp_path / "blank.jsonl")
+    with open(blank, "w") as fh:
+        fh.write("\n")
+    save_manifest(CorpusManifest(corpus_name="b", lang="en", shard_paths=[blank]),
+                  str(tmp_path / "blank.json"))
+    cfg["clusters"] = {"k": 2, "fit": {"manifest": cfg["corpus"]["manifest"]},
+                       "datasets": [{"name": "b", "manifest": str(tmp_path / "blank.json")}]}
+
+
+FAILED_COMMANDS = {
+    # name: (command, edit of a config whose classifier is trained, exit code, message)
+    "threshold_dim_not_the_classifiers": (
+        "threshold", lambda c, _: c["embedding"].update(dim=32), 3,
+        "provider dim 32 != classifier dim 64"),
+    "report_without_scores": ("report", lambda c, _: c.update(report={}), 2, "scores.jsonl"),
+    "clusters_dataset_without_documents": ("clusters", clusters_over_a_blank_shard, 3,
+                                           "no documents in the shards of"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAILED_COMMANDS))
+def test_a_failed_command_makes_no_output_dir(tmp_path, capsys, name):
+    command, edit, code, message = FAILED_COMMANDS[name]
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    assert run("train-filter", cfg_path) == 0
+    cfg["output_dir"] = str(tmp_path / "new_out")
+    del cfg["scores"]  # so that the default path under output_dir is used
+    edit(cfg, tmp_path)
+    write_config(cfg_path, cfg)
+    assert run(command, cfg_path) == code
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(cfg["output_dir"])
+
+
+UNMAKEABLE_PATHS = {
+    # name: (command, edit that puts an output path under the regular file f)
+    "threshold_output_dir_a_file": ("threshold", lambda c, f: c.update(output_dir=f)),
+    "report_output_dir_a_file": ("report", lambda c, f: c.update(output_dir=f)),
+    "filter_out_dir_a_file": ("filter", lambda c, f: c["filter"].update(out_dir=f)),
+    "scores_dir_a_file": ("score", lambda c, f: c.update(scores=f"{f}/scores.jsonl")),
+    "scores_dir_under_a_file": ("score", lambda c, f: c.update(scores=f"{f}/sub/scores.jsonl")),
+}
+
+
+@pytest.mark.parametrize("name", list(UNMAKEABLE_PATHS))
+def test_an_output_path_that_cannot_be_made_exits_2(tmp_path, capsys, name):
+    command, edit = UNMAKEABLE_PATHS[name]
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    for step in ("train-filter", "score"):
+        assert run(step, cfg_path) == 0
+    blocker = tmp_path / "a_file"
+    blocker.write_text("x")
+    cfg["filter"]["tau"] = 0.5
+    edit(cfg, str(blocker))
+    write_config(cfg_path, cfg)
+    capsys.readouterr()
+    assert run(command, cfg_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "x"
 
 
 def test_hashed_dim_below_8_stops_train_filter_before_any_shard_is_read(tmp_path, capsys,

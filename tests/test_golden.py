@@ -114,7 +114,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import pathlib
     import tempfile
 
-    os.makedirs(GOLDEN, exist_ok=True)
     save_classifier(train_seed_classifier(dim=64)[0], CLASSIFIER)
     with tempfile.TemporaryDirectory() as tmp:
         write_json(DIGESTS, artefact_digests(pathlib.Path(tmp)))
