@@ -423,8 +423,7 @@ def cmd_report(cfg: dict, stamp: dict) -> int:
     percentiles = cfg.get("percentiles") or (10.0, 30.0, 40.0, 60.0, 70.0, 90.0, 95.0)
     columns = {}
     for e in entries:
-        values = list(thresholds.load_scores(e["path"]).values())
-        taus = thresholds.percentile_thresholds(values, percentiles)
+        taus = thresholds.percentile_thresholds(thresholds.load_scores(e["path"]), percentiles)
         columns[e["name"]] = {f"{p:g}": tau for p, tau in zip(percentiles, taus)}
     report = {**stamp, "percentiles": list(percentiles), "table": columns}
     write_json(os.path.join(_out_dir(cfg), "percentile_table.json"), report)

@@ -17,9 +17,9 @@ ties go to the lowest cluster id exactly as the direct form would.
 
 k-means++ seeding keeps each point's squared distance to its nearest seed,
 `d2`, in the direct form, because `d2` sets the probabilities of the seeded
-draws. Only the first seed costs a full direct pass. For each later seed c,
-one matrix-vector product gives every row's expanded distance to c, and the
-direct form runs only on the rows where that is within
+draws. `d2` starts infinite, so the first seed costs a full direct pass. For
+each seed c, one matrix-vector product gives every row's expanded distance to
+c, and the direct form runs only on the rows where that is within
 `_TIE_RTOL` * (max ||x||^2 + ||c||^2) of reaching `d2`. Both forms are
 within a few d * 2^-53 * (||x||^2 + ||c||^2) of the exact distance, far
 inside that slack, so a skipped row's direct distance is at least its
@@ -128,28 +128,22 @@ def _sq_distances(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
     return D
 
 
-def _direct_sq_distances(
-    X: np.ndarray, c: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Sum of squared differences from each row of X, or from each of the
-    rows `rows` names, to the point c, one block of rows at a time;
-    bit-identical to ((X[rows] - c) ** 2).sum(axis=1)."""
-    if rows is not None and len(rows) <= _BLOCK_ROWS:
+def _direct_sq_distances(X: np.ndarray, c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum of squared differences from each of the rows of X that `rows`
+    names to the point c, one block of rows at a time; bit-identical to
+    ((X[rows] - c) ** 2).sum(axis=1)."""
+    if len(rows) <= _BLOCK_ROWS:
         diff = X[rows]  # one block: its gathered copy is the work array
         diff -= c
         diff *= diff
         return diff.sum(axis=1)
-    n = X.shape[0] if rows is None else len(rows)
-    d2 = np.empty(n)
-    work = np.empty((min(n, _BLOCK_ROWS), X.shape[1]))
-    for lo in range(0, n, _BLOCK_ROWS):
-        diff = work[: min(n - lo, _BLOCK_ROWS)]
-        if rows is None:
-            np.subtract(X[lo : lo + _BLOCK_ROWS], c, out=diff)
-        else:
-            # the rows are in range; mode "raise" would gather through a buffer
-            np.take(X, rows[lo : lo + _BLOCK_ROWS], axis=0, out=diff, mode="clip")
-            diff -= c
+    d2 = np.empty(len(rows))
+    work = np.empty((_BLOCK_ROWS, X.shape[1]))
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        diff = work[: min(len(rows) - lo, _BLOCK_ROWS)]
+        # the rows are in range; mode "raise" would gather through a buffer
+        np.take(X, rows[lo : lo + _BLOCK_ROWS], axis=0, out=diff, mode="clip")
+        diff -= c
         diff *= diff
         diff.sum(axis=1, out=d2[lo : lo + _BLOCK_ROWS])
     return d2
@@ -158,23 +152,22 @@ def _direct_sq_distances(
 def _kmeans_pp_init(
     X: np.ndarray, K: int, rng: np.random.Generator, xx: np.ndarray
 ) -> np.ndarray:
-    """k-means++ seeds with `d2` in the direct form. After the first seed,
-    the direct form runs only on the rows a new seed may bring closer: a row
-    whose expanded distance exceeds its `d2` by more than the `_TIE_RTOL`
-    slack has a direct distance of at least `d2` as well (see the module
-    docstring), so its `d2`, and every later draw, is what a full pass gives.
-    `xx` holds the rows' squared norms."""
+    """k-means++ seeds with `d2` in the direct form, which runs only on the rows
+    a new seed may bring closer: a row whose expanded distance exceeds its `d2`
+    by more than the `_TIE_RTOL` slack has a direct distance of at least `d2`
+    as well (see the module docstring), so its `d2`, and every later draw, is
+    what a full pass gives. `d2` starts infinite, so every row is near the
+    first seed, drawn uniformly. `xx` holds the rows' squared norms."""
     n = X.shape[0]
     centroids = np.empty((K, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    d2 = _direct_sq_distances(X, centroids[0])
+    d2 = np.full(n, np.inf)
     # a row is near a new seed c where ||x||^2 - 2 x.c + ||c||^2 - d2 is at most
     # _TIE_RTOL * (max ||x||^2 + ||c||^2); gap holds the terms that vary by row
     slack = _TIE_RTOL * xx.max()
     gap = cdf = np.empty(n)  # one buffer: the draw is done before gap is needed
-    for k in range(1, K):
+    for k in range(K):
         total = d2.sum()
-        if total <= 0:
+        if k == 0 or total <= 0:
             i = rng.integers(n)
         else:
             # Generator.choice(n, p=d2 / total): the same index from the same draw
@@ -295,12 +288,11 @@ def assign_batch(model: ClusterModel, X, xx: np.ndarray | None = None) -> np.nda
         xx = _finite_row_norms(X)
     D = _sq_distances(X, C, xx)
     labels = np.argmin(D, axis=1)
-    if model.K > 1:
-        # rows with a second centroid within tol of the nearest
-        D -= np.take_along_axis(D, labels[:, None], axis=1)
-        tol = _TIE_RTOL * (xx + _row_norms(C).max())
-        for i in np.flatnonzero(np.count_nonzero(D <= tol[:, None], axis=1) > 1):
-            labels[i] = np.argmin(_direct_sq_distances(C, X[i]))
+    # rows with a second centroid within tol of the nearest
+    D -= np.take_along_axis(D, labels[:, None], axis=1)
+    tol = _TIE_RTOL * (xx + _row_norms(C).max())
+    for i in np.flatnonzero(np.count_nonzero(D <= tol[:, None], axis=1) > 1):
+        labels[i] = np.argmin(((C - X[i]) ** 2).sum(axis=1))
     return labels
 
 

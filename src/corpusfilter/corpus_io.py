@@ -23,7 +23,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 from .errors import DataError
 
@@ -66,25 +66,27 @@ class CorpusManifest:
             names[name] = path
 
 
-class MalformedRecord(NamedTuple):
-    line_no: int
-    reason: str
-
-
 @contextlib.contextmanager
 def atomic_write(path: str, mode: str = "w") -> Iterator[IO]:
     """Open a temporary file beside `path`, in a directory made if missing, for
     writing ("w" for UTF-8 text, "wb" for bytes). A clean exit moves it onto
-    `path` with `os.replace`; an error removes it, so `path` never holds a partial write."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    `path` with `os.replace`; an error removes it and the directories it made."""
+    made, parent = [], os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):  # deepest first
+        made.append(parent)
+        parent = os.path.dirname(parent)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(tmp, mode, BLOCK_BYTES, None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        for directory in made:  # not os.removedirs: it would take empty parents made before
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         raise
 
 
@@ -196,8 +198,8 @@ def read_json_lines(path: str, gzipped: bool = False) -> Iterator[tuple[int, byt
 def _record_to_doc(rec, raw: bytes) -> Document:
     """The document in a shard line parsed by `read_json_lines`. A malformed
     line raises ValueError or DataError, whose message is the reason."""
-    if type(rec) is not dict:
-        raise rec if isinstance(rec, ValueError) else ValueError("record is not an object")
+    if type(rec) is not dict:  # raising rec itself would tie it in a cycle to this frame
+        raise ValueError(rec if isinstance(rec, ValueError) else "record is not an object")
     for name in REQUIRED_FIELDS:  # `check_fields`' rule, inline as it runs once a line
         if type(rec.get(name)) is not str:
             raise ValueError(f"field {name!r} is not a string" if name in rec
@@ -223,18 +225,19 @@ def _record_to_doc(rec, raw: bytes) -> Document:
 class ShardStream:
     """Iterator over the valid documents of one shard file.
 
-    Malformed lines never interrupt the stream; after exhaustion they are
-    available (with line numbers and reasons) in `.malformed`. Blank lines
-    are skipped but counted in the line numbers. While a document is out,
-    `.line` holds the raw bytes of its line, line ending included, so that
-    a filter can copy it verbatim.
+    Malformed lines never interrupt the stream; `.malformed` counts them and
+    `.first_malformed` holds the (line number, reason) of the first, or None.
+    Blank lines are skipped but counted in the line numbers. While a document
+    is out, `.line` holds the raw bytes of its line, line ending included, so
+    that a filter can copy it verbatim.
     """
 
     def __init__(self, path: str):
         if not os.path.exists(path):
             raise FileNotFoundError(errno.ENOENT, "no such shard file", path)
         self.path = path
-        self.malformed: list[MalformedRecord] = []
+        self.malformed = 0
+        self.first_malformed: tuple[int, str] | None = None
         self.line = b""
 
     def __iter__(self) -> Iterator[Document]:
@@ -242,7 +245,8 @@ class ShardStream:
             try:
                 doc = _record_to_doc(rec, raw)
             except (ValueError, DataError) as exc:
-                self.malformed.append(MalformedRecord(line_no, str(exc)))
+                self.malformed += 1
+                self.first_malformed = self.first_malformed or (line_no, str(exc))
                 continue
             self.line = raw
             yield doc

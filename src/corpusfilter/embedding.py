@@ -38,7 +38,7 @@ class EmbeddingProviderConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in ("remote", "hashed_ngram"):
-            raise ConfigError(f"unknown provider kind {self.kind!r}")
+            raise ConfigError(f"config key embedding.kind: unknown provider kind {self.kind!r}")
         if self.dim <= 0:
             raise ConfigError("dim must be positive")
         if self.kind == "hashed_ngram":
@@ -47,7 +47,7 @@ class EmbeddingProviderConfig:
             raise ConfigError("remote provider requires an endpoint")
         lo, hi = self.ngram_range
         if not (1 <= lo <= hi):
-            raise ConfigError(f"bad ngram_range {self.ngram_range}")
+            raise ConfigError(f"config key embedding.ngram_range {[lo, hi]} is not 1 <= lo <= hi")
         if self.batch_size <= 0 or self.truncate_chars <= 0:
             raise ConfigError("batch_size and truncate_chars must be positive")
 

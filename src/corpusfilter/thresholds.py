@@ -131,30 +131,35 @@ def score_corpus(
     return write_score_records(out_path, map(score, paths))
 
 
-def load_scores(path: str) -> dict[str, float]:
-    """Map each doc_id to its score; a doc_id seen twice is a DataError,
-    since the filter could not tell the two documents apart."""
-    scores: dict[str, float] = {}
-    for doc_id, score, shard in read_score_records(path):
-        if doc_id in scores:
-            first = next(r[2] for r in read_score_records(path) if r[0] == doc_id)
-            raise DataError(
-                f"{path}: document id {doc_id!r} is scored in shard {first!r} "
-                f"and again in shard {shard!r}"
-            )
-        scores[doc_id] = score
-    return scores
+def load_scores(path: str) -> np.ndarray:
+    """The scores of a score file as float64, in file order. A doc_id seen twice
+    is a DataError, since the filter could not tell the two documents apart.
+    Memory holds 8 bytes of score and 8 of id hash per record; the hashes are
+    sorted once, and only ids whose hashes repeat are read again and compared."""
+    scores, hashes = array("d"), array("q")
+    for doc_id, score, _ in read_score_records(path):
+        scores.append(score)
+        hashes.append(hash(doc_id))
+    hashes = np.frombuffer(hashes, dtype=np.int64)
+    hashes.sort()
+    repeats = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    shards: dict[str, str] = {}  # the shard of each id whose hash repeats
+    for doc_id, _, shard in read_score_records(path) if repeats else ():
+        if hash(doc_id) in repeats:
+            if doc_id in shards:
+                raise DataError(f"{path}: document id {doc_id!r} is scored in shard "
+                                f"{shards[doc_id]!r} and again in shard {shard!r}")
+            shards[doc_id] = shard
+    return np.frombuffer(scores)
 
 
 def _unjoinable(scores_path: str, doc_id: str, shard_path: str) -> NoReturn:
     """The error for a document that the next score record does not match."""
-    scores = load_scores(scores_path)  # raises on an id scored twice
-    if doc_id not in scores:
+    load_scores(scores_path)  # raises on an id scored twice
+    if all(rec[0] != doc_id for rec in read_score_records(scores_path)):
         raise MissingScoreError(f"no score for document {doc_id!r} in {shard_path}")
-    raise DataError(
-        f"{scores_path}: score records are not in manifest order "
-        f"at document {doc_id!r} in {shard_path}"
-    )
+    raise DataError(f"{scores_path}: score records are not in manifest order "
+                    f"at document {doc_id!r} in {shard_path}")
 
 
 def apply_filter(
@@ -195,7 +200,7 @@ def apply_filter(
         # int(s * 100) per score: astype truncates toward zero like int()
         bins = (np.asarray(shard_scores) * HISTOGRAM_BINS).astype(np.int64)
         hist += np.bincount(np.minimum(bins, HISTOGRAM_BINS - 1), minlength=HISTOGRAM_BINS)
-        docs_malformed += len(stream.malformed)
+        docs_malformed += stream.malformed
     hashes = np.sort(hashes)
     if np.any(hashes[1:] == hashes[:-1]):
         # every document took a record with its id, so a repeated id is

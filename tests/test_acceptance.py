@@ -102,8 +102,7 @@ def test_criterion_03_selection_rule_exactness(tmp_path):
     scores_path = str(tmp_path / "scores.jsonl")
     n = score_corpus(manifest, cfg, clf, scores_path)
     assert n == 10_000
-    scores = load_scores(scores_path)
-    tau = estimate_percentile_threshold(list(scores.values()), 90)
+    tau = estimate_percentile_threshold(load_scores(scores_path), 90)
     out_dir = str(tmp_path / "filtered")
     apply_filter(manifest, scores_path, tau, out_dir)
 

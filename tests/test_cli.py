@@ -11,11 +11,12 @@ import yaml
 
 import corpusfilter
 
-from corpusfilter import cli, corpus_io, thresholds
+from corpusfilter import cli, corpus_io, embedding, thresholds
 from corpusfilter.classifier import load_classifier
 from corpusfilter.cli import check_config, load_config, main
 from corpusfilter.corpus_io import (
     CorpusManifest,
+    Document,
     read_shard,
     write_json,
     write_shard,
@@ -187,7 +188,15 @@ def test_train_batch_size_is_rejected(tmp_path, capsys):
     assert not os.path.exists(cfg["classifier"])
 
 
-@pytest.mark.parametrize("mode", ["not_json", "no_vectors"])
+REMOTE_FAULTS = {
+    # MockEmbedHandler.mode: what the error names
+    "not_json": "{endpoint}/embed",
+    "no_vectors": "{endpoint}/embed",
+    "nan": "service returned non-finite vectors",
+}
+
+
+@pytest.mark.parametrize("mode", list(REMOTE_FAULTS))
 def test_bad_remote_body_exits_4(tmp_path, mock_server, mode, capsys):
     cfg, cfg_path, _ = build_workspace(tmp_path)
     cfg["embedding"] = {"kind": "remote", "dim": 384, "endpoint": mock_server}
@@ -195,7 +204,26 @@ def test_bad_remote_body_exits_4(tmp_path, mock_server, mode, capsys):
         yaml.safe_dump(cfg, fh)
     MockEmbedHandler.mode = mode
     assert run("train-filter", cfg_path) == 4
-    assert f"{mock_server}/embed" in capsys.readouterr().err
+    assert REMOTE_FAULTS[mode].format(endpoint=mock_server) in capsys.readouterr().err
+
+
+def test_refused_remote_endpoint_exits_4_after_3_attempts(tmp_path, capsys, monkeypatch):
+    import requests
+
+    posts = []
+    post = requests.Session.post
+    monkeypatch.setattr(requests.Session, "post",
+                        lambda self, url, **kw: posts.append(url) or post(self, url, **kw))
+    monkeypatch.setattr(embedding, "RETRY_WAIT", 0.001)
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    with socket.socket() as closed:  # bound, never listening: it refuses connections
+        closed.bind(("127.0.0.1", 0))
+        endpoint = "http://127.0.0.1:%d" % closed.getsockname()[1]
+        cfg["embedding"] = {"kind": "remote", "dim": 384, "endpoint": endpoint}
+        write_config(cfg_path, cfg)
+        assert run("train-filter", cfg_path) == 4
+    assert "embedding service failed after 3 attempts" in capsys.readouterr().err
+    assert posts == [f"{endpoint}/embed"] * 3
 
 
 def test_embedding_env_overrides_the_endpoint_and_sends_the_token(tmp_path, mock_server,
@@ -548,6 +576,32 @@ MALFORMED_INPUTS = {
         "manifest", '{"corpus_name": 5, "lang": "fr", "shards": ["a.jsonl"]}', 3, "'corpus_name'"),
     "config_not_yaml": ("config", "seed: [0\nclassifier: {\n", 2, None),
 }
+
+
+INVALID_INPUTS = {
+    # name: (file the fault goes into, its new content, the message)
+    "classifier_weight_nan": (
+        "classifier", '{"w": [NaN], "b": 0.0, "dim": 1, "normalize_inputs": true}',
+        "classifier weights contain NaN/Inf"),
+    "classifier_w_longer_than_dim": (
+        "classifier", '{"w": [0.5, 0.5], "b": 0.0, "dim": 1, "normalize_inputs": true}',
+        "weight length (2,) does not match dim 1"),
+    "manifest_shards_empty": (
+        "manifest", '{"corpus_name": "c", "lang": "fr", "shards": []}',
+        "manifest 'c' has no shards"),
+}
+
+
+@pytest.mark.parametrize("fault", list(INVALID_INPUTS))
+def test_invalid_input_file_exits_3_with_its_message(tmp_path, capsys, fault):
+    target, content, message = INVALID_INPUTS[fault]
+    cfg, cfg_path, _ = build_workspace(tmp_path, docs_per_shard=5)
+    path = {"manifest": cfg["corpus"]["manifest"], "classifier": cfg["classifier"]}[target]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(content)
+    assert run("score", cfg_path) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -913,6 +967,12 @@ CONFIG_ERRORS = {
     "train_without_seed_documents": (
         "train-filter", lambda c: {**c, "train": {"positives": [], "negatives": []}},
         "train section provided no seed documents"),
+    "unknown_embedding_kind": (
+        "score", lambda c: {**c, "embedding": {**c["embedding"], "kind": "foo"}},
+        "config key embedding.kind: unknown provider kind 'foo'"),
+    "ngram_range_falling": (
+        "score", lambda c: {**c, "embedding": {**c["embedding"], "ngram_range": [3, 2]}},
+        "config key embedding.ngram_range [3, 2] is not 1 <= lo <= hi"),
 }
 
 
@@ -937,8 +997,26 @@ def clusters_over_a_blank_shard(cfg, tmp_path):
                        "datasets": [{"name": "b", "manifest": str(tmp_path / "blank.json")}]}
 
 
+def a_corpus_of_one_short_text(cfg, tmp_path):
+    shard = str(tmp_path / "short.jsonl")
+    write_shard(shard, [Document(id="a", text="5", lang="en", source="s")])
+    write_json(cfg["corpus"]["manifest"], {"corpus_name": "c", "lang": "en", "shards": [shard]})
+
+
+def scores_without_the_first_document(cfg, tmp_path):
+    manifest = corpus_io.load_manifest(cfg["corpus"]["manifest"])
+    ids = [doc.id for path in manifest.shard_paths for doc in read_shard(path)]
+    cfg["scores"] = str(tmp_path / "partial_scores.jsonl")
+    corpus_io.write_score_records(cfg["scores"], [("any.jsonl", ids[1:], [0.9] * len(ids[1:]))])
+    cfg["filter"] = {"tau": 0.5}  # its out_dir is output_dir/filtered, two new directories
+
+
 FAILED_COMMANDS = {
     # name: (command, edit of a config whose classifier is trained, exit code, message)
+    "score_of_a_text_too_short": ("score", a_corpus_of_one_short_text, 3,
+                                  "text '5' has fewer than 2 characters"),
+    "filter_of_a_document_without_a_score": ("filter", scores_without_the_first_document, 3,
+                                             "no score for document"),
     "threshold_dim_not_the_classifiers": (
         "threshold", lambda c, _: c["embedding"].update(dim=32), 3,
         "provider dim 32 != classifier dim 64"),
@@ -1139,7 +1217,8 @@ def test_one_blank_line_rule_for_shards_scores_and_annotations(tmp_path, capsys,
 
     stream = read_shard(shard)
     assert [d.id for d in stream] == ["a", "b"]
-    assert [m.line_no for m in stream.malformed] == ([] if blank else [2])
+    first_line_no = stream.first_malformed and stream.first_malformed[0]
+    assert (stream.malformed, first_line_no) == ((0, None) if blank else (1, 2))
 
     cfg["report"] = {"scores": [{"name": "s", "path": scores}]}
     cfg["train"]["annotations"] = annotations

@@ -204,8 +204,7 @@ def test_direct_sq_distances_over_rows_equal_the_full_pass(n, d, seed):
     X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
     c = X[rng.integers(n)] + rng.normal(size=d)
     rows = np.flatnonzero(rng.random(n) < rng.random())
-    full = _direct_sq_distances(X, c)
-    assert full.tobytes() == ((X - c) ** 2).sum(axis=1).tobytes()
+    full = ((X - c) ** 2).sum(axis=1)
     assert _direct_sq_distances(X, c, rows).tobytes() == full[rows].tobytes()
     assert _direct_sq_distances(X, c, np.arange(n)).tobytes() == full.tobytes()
 

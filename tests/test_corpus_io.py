@@ -1,5 +1,6 @@
 import gzip
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,7 @@ def test_read_valid_shard(tmp_path):
     stream = read_shard(path)
     out = list(stream)
     assert [d.id for d in out] == [d.id for d in docs]
-    assert stream.malformed == []
+    assert (stream.malformed, stream.first_malformed) == (0, None)
 
 
 def test_malformed_lines_reported_not_dropped_silently(tmp_path):
@@ -45,8 +46,28 @@ def test_malformed_lines_reported_not_dropped_silently(tmp_path):
     stream = read_shard(path)
     out = list(stream)
     assert [d.id for d in out] == ["x1", "x2"]
-    assert [m.line_no for m in stream.malformed] == [2, 4]
+    assert stream.malformed == 2 and stream.first_malformed[0] == 2
     del docs
+
+
+def test_malformed_lines_are_counted_not_kept(tmp_path):
+    # 100 lines of 1400 bytes fill two 64 KiB blocks of lines, so that both
+    # shards are read through the same blocks
+    text = b'{"id":"x","text":"' + b"a" * 1400
+    lines = [text + b'","source":"s"}\n', text + b"\n"]  # no lang; not JSON
+    peaks = []
+    for n in (100, 10_000):
+        path = tmp_path / f"bad{n}.jsonl"
+        path.write_bytes(b"".join(lines[i % 2] for i in range(n)))
+        stream = read_shard(str(path))
+        tracemalloc.start()
+        try:
+            assert list(stream) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+    assert stream.malformed == 10_000 and stream.first_malformed == (1, "missing field 'lang'")
 
 
 def read_around(tmp_path, bad_line: bytes):
@@ -61,8 +82,8 @@ def read_around(tmp_path, bad_line: bytes):
     out = list(stream)
     assert [d.id for d in out] == ["x1", "x3"]
     assert out[1].text == "pair \U0001f600 is fine"
-    assert [m.line_no for m in stream.malformed] == [2]
-    return stream.malformed[0].reason
+    assert stream.malformed == 1 and stream.first_malformed[0] == 2
+    return stream.first_malformed[1]
 
 
 @pytest.mark.parametrize(
@@ -140,11 +161,12 @@ def test_shard_line_rules(tmp_path, suffix, line, outcome):
     out = [(doc.id, stream.line) for doc in stream]
     docs = [("x1", lines[0]), ("x4", lines[3])]
     if outcome is None:
-        assert (out, stream.malformed) == (docs, [])
+        assert (out, stream.malformed, stream.first_malformed) == (docs, 0, None)
     elif outcome == "x2":
-        assert (out, stream.malformed) == (docs[:1] + [("x2", lines[2])] + docs[1:], [])
+        kept = docs[:1] + [("x2", lines[2])] + docs[1:]
+        assert (out, stream.malformed, stream.first_malformed) == (kept, 0, None)
     else:
-        assert (out, stream.malformed) == (docs, [(3, outcome)])
+        assert (out, stream.malformed, stream.first_malformed) == (docs, 1, (3, outcome))
 
 
 def test_empty_file(tmp_path):
@@ -152,7 +174,7 @@ def test_empty_file(tmp_path):
     open(path, "w").close()
     stream = read_shard(path)
     assert list(stream) == []
-    assert stream.malformed == []
+    assert (stream.malformed, stream.first_malformed) == (0, None)
 
 
 def test_missing_file():
@@ -378,7 +400,10 @@ def check_readers_on(tmp_path_factory, line: bytes):
     with open(path, "wb") as fh:
         fh.write(doc_line(1) + b"\n" + line + b"\n" + doc_line(9) + b"\n")
     stream = read_shard(path)
-    assert (list(stream), stream.malformed) == reference_shard(path)
+    docs, malformed = reference_shard(path)
+    first = malformed[0] if malformed else None
+    assert (list(stream), stream.malformed, stream.first_malformed) == (
+        docs, len(malformed), first)
     with open(path, "wb") as fh:
         fh.write(score_line("a") + b"\n" + line + b"\n" + score_line("z") + b"\n")
     assert score_records_or_error_line(path) == reference_score_records(path)

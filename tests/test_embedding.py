@@ -151,7 +151,7 @@ class MockEmbedHandler(BaseHTTPRequestHandler):
     calls = []
     texts = []  # the texts of each request
     auth = []  # the Authorization header of each request, or None
-    mode = "vectors"  # or "not_json", "no_vectors": a bad 200 response
+    mode = "vectors"  # or "not_json", "no_vectors", "nan": a bad 200 response
 
     def do_POST(self):
         cls = type(self)
@@ -168,6 +168,8 @@ class MockEmbedHandler(BaseHTTPRequestHandler):
             [float((i + j) % 7) / 7.0 for j in range(cls.dim)]
             for i in range(len(body["texts"]))
         ]
+        if cls.mode == "nan":
+            vectors[0][0] = float("nan")
         payload = json.dumps({"vectors": vectors, "dim": cls.dim}).encode()
         if cls.mode == "not_json":
             payload = b"<html>gateway says hello</html>"

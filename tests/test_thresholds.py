@@ -20,6 +20,7 @@ from corpusfilter.corpus_io import (
     read_score_records,
     read_shard,
     sample_documents,
+    write_score_records,
     write_shard,
 )
 from corpusfilter.embedding import HashedNgramProvider, embed_texts, get_provider
@@ -154,7 +155,7 @@ def test_filter_matches_the_rescoring_oracle_over_40_corpora(tmp_path, seed_clas
             docs = list(read_shard(path))
             rows = embed_texts(provider, [doc.text for doc in docs])
             oracle.update((doc.id, clf_mod.score(clf, x)) for doc, x in zip(docs, rows))
-        taus = percentile_thresholds(list(load_scores(scores_path).values()), PERCENTILE_PRESETS)
+        taus = percentile_thresholds(load_scores(scores_path), PERCENTILE_PRESETS)
         for p, tau in zip(PERCENTILE_PRESETS, taus):
             out = root / f"p{p:g}"
             apply_filter(manifest, scores_path, tau, str(out))
@@ -201,7 +202,7 @@ def test_score_corpus_constant_classifier(tmp_path):
     manifest = make_corpus(tmp_path, n_shards=1, docs_per_shard=7)
     out = str(tmp_path / "s.jsonl")
     score_corpus(manifest, hashed_config(), clf, out)
-    assert all(v == 0.5 for v in load_scores(out).values())
+    assert load_scores(out).tolist() == [0.5] * 7
 
 
 def test_seed_positives_score_higher(tmp_path, seed_classifier):
@@ -283,8 +284,8 @@ def test_apply_filter_preserves_order(tmp_path, seed_classifier):
     manifest = make_corpus(tmp_path, n_shards=2, docs_per_shard=50)
     scores_path = str(tmp_path / "s.jsonl")
     score_corpus(manifest, hashed_config(), clf, scores_path)
-    scores = load_scores(scores_path)
-    tau = estimate_percentile_threshold(list(scores.values()), 50)
+    scores = {doc_id: score for doc_id, score, _ in read_score_records(scores_path)}
+    tau = estimate_percentile_threshold(load_scores(scores_path), 50)
     out_dir = str(tmp_path / "o")
     apply_filter(manifest, scores_path, tau, out_dir)
     for path in manifest.shard_paths:
@@ -470,7 +471,7 @@ def test_score_file_skips_blank_lines_and_accepts_leading_whitespace(tmp_path):
     records = list(read_score_records(str(path)))
     assert records == [("a", 0.25, "x"), ("b", 1.0, "x"), ("c", 0.0, "y")]
     assert [type(r[1]) for r in records] == [float] * 3
-    assert load_scores(str(path)) == {"a": 0.25, "b": 1.0, "c": 0.0}
+    assert load_scores(str(path)).tolist() == [0.25, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("garbage", [b" x", b"{}", b",", b"\x0c", b"\x00"])
@@ -649,6 +650,19 @@ def traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_load_scores_holds_two_numbers_a_record(tmp_path):
+    # report takes percentiles of every score of a corpus: it holds an array
+    # of scores and one of id hashes, not an object per record
+    n = 80_000
+    path = str(tmp_path / "s.jsonl")
+    want = [(i % 997) / 997 for i in range(n)]
+    write_score_records(path, [("a.jsonl", [f"doc-{i:06d}" for i in range(n)], want)])
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_scores(path)))
+    assert loaded[0].dtype == np.float64 and loaded[0].tolist() == want
+    assert peak <= 24 * n + 256 * 1024, peak / n
 
 
 @pytest.fixture(scope="module")
