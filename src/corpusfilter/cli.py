@@ -480,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
+    except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ConfigError.exit_code
 

@@ -12,8 +12,9 @@ Squared distances come from one helper, `_sq_distances`, which expands
 of `_BLOCK_ROWS` rows. A fit over n points of dimension d therefore holds
 X, one X-sized work array for the WCSS, and O(n*K + block*d) for the
 distances; no (n, K, d) array is ever built. Nearest-centroid assignment
-settles near ties with the direct sum of squared differences, so that
-ties go to the lowest cluster id exactly as the direct form would.
+holds O(n + block*K) beyond the points, and settles a block's near ties
+with `_direct_sq_distances`, so that ties go to the lowest cluster id as
+the direct form would.
 
 k-means++ seeding keeps each point's squared distance to its nearest seed,
 `d2`, in the direct form, because `d2` sets the probabilities of the seeded
@@ -132,13 +133,8 @@ def _direct_sq_distances(X: np.ndarray, c: np.ndarray, rows: np.ndarray) -> np.n
     """Sum of squared differences from each of the rows of X that `rows`
     names to the point c, one block of rows at a time; bit-identical to
     ((X[rows] - c) ** 2).sum(axis=1)."""
-    if len(rows) <= _BLOCK_ROWS:
-        diff = X[rows]  # one block: its gathered copy is the work array
-        diff -= c
-        diff *= diff
-        return diff.sum(axis=1)
     d2 = np.empty(len(rows))
-    work = np.empty((_BLOCK_ROWS, X.shape[1]))
+    work = np.empty((min(len(rows), _BLOCK_ROWS), X.shape[1]))
     for lo in range(0, len(rows), _BLOCK_ROWS):
         diff = work[: min(len(rows) - lo, _BLOCK_ROWS)]
         # the rows are in range; mode "raise" would gather through a buffer
@@ -276,37 +272,34 @@ def fit_balanced_kmeans(
     return model
 
 
-def assign_batch(model: ClusterModel, X, xx: np.ndarray | None = None) -> np.ndarray:
-    """Nearest-centroid assignment; capacity is a fit-time constraint only.
-    Ties go to the lowest cluster id. A point that is not finite fails;
-    `xx` holds the rows' squared norms when the caller has checked them."""
+def assign_batch(model: ClusterModel, X) -> np.ndarray:
+    """Nearest-centroid assignment, `_BLOCK_ROWS` rows at a time; capacity is
+    a fit-time constraint only. Ties go to the lowest cluster id. A point
+    that is not finite fails."""
     X = _as_matrix(X)
     if X.shape[1] != model.dim:
         raise DimensionMismatchError(f"point dim {X.shape[1]} != model dim {model.dim}")
     C = model.centroids
-    if xx is None:
-        xx = _finite_row_norms(X)
-    D = _sq_distances(X, C, xx)
-    labels = np.argmin(D, axis=1)
-    # rows with a second centroid within tol of the nearest
-    D -= np.take_along_axis(D, labels[:, None], axis=1)
-    tol = _TIE_RTOL * (xx + _row_norms(C).max())
-    for i in np.flatnonzero(np.count_nonzero(D <= tol[:, None], axis=1) > 1):
-        labels[i] = np.argmin(((C - X[i]) ** 2).sum(axis=1))
+    xx = _finite_row_norms(X)
+    labels = np.empty(len(X), dtype=np.intp)
+    for lo in range(0, len(X), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        D = _sq_distances(X[block], C, xx[block])
+        labels[block] = np.argmin(D, axis=1)
+        # rows with a second centroid within tol of the nearest
+        D -= np.take_along_axis(D, labels[block, None], axis=1)
+        tol = _TIE_RTOL * (xx[block] + _row_norms(C).max())
+        ties = lo + np.flatnonzero(np.count_nonzero(D <= tol[:, None], axis=1) > 1)
+        if len(ties):
+            labels[ties] = np.argmin([_direct_sq_distances(X, c, ties) for c in C], axis=0)
     return labels
 
 
 def histogram_over_clusters(model: ClusterModel, dataset, name: str) -> ClusterHistogram:
-    """Cluster sizes of the rows of a 2-D dataset, assigned `_BLOCK_ROWS` rows at a time."""
+    """Cluster sizes of the rows of a 2-D dataset."""
     if len(dataset) == 0:
         raise DataError(f"dataset {name!r} is empty")
-    X = _as_matrix(dataset)
-    xx = _finite_row_norms(X)
-    counts = np.zeros(model.K, dtype=np.int64)
-    for lo in range(0, len(X), _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        counts += np.bincount(assign_batch(model, X[lo:hi], xx[lo:hi]), minlength=model.K)
-    return ClusterHistogram(dataset_name=name, counts=counts)
+    return ClusterHistogram(name, np.bincount(assign_batch(model, dataset), minlength=model.K))
 
 
 def histogram_distance(a: ClusterHistogram, b: ClusterHistogram) -> float:

@@ -193,6 +193,7 @@ def read_json_lines(path: str, gzipped: bool = False) -> Iterator[tuple[int, byt
                     except ValueError as exc:
                         value = exc
                 yield line_no, raw, value
+            del block  # else it is held while the next block is read
 
 
 def _record_to_doc(rec, raw: bytes) -> Document:

@@ -1040,13 +1040,27 @@ def test_a_failed_command_makes_no_output_dir(tmp_path, capsys, name):
     assert not os.path.exists(cfg["output_dir"])
 
 
+def a_directory(path: str) -> str:
+    os.makedirs(path)
+    return path
+
+
+def scores_a_directory(cfg, f):
+    cfg["scores"] = a_directory(f"{f}_dir")
+    return cfg["scores"]
+
+
 UNMAKEABLE_PATHS = {
-    # name: (command, edit that puts an output path under the regular file f)
+    # name: (command, edit that puts an output path under the regular file f, or
+    # that makes the output path a directory and returns it)
     "threshold_output_dir_a_file": ("threshold", lambda c, f: c.update(output_dir=f)),
     "report_output_dir_a_file": ("report", lambda c, f: c.update(output_dir=f)),
     "filter_out_dir_a_file": ("filter", lambda c, f: c["filter"].update(out_dir=f)),
     "scores_dir_a_file": ("score", lambda c, f: c.update(scores=f"{f}/scores.jsonl")),
     "scores_dir_under_a_file": ("score", lambda c, f: c.update(scores=f"{f}/sub/scores.jsonl")),
+    "scores_a_directory": ("score", scores_a_directory),
+    "report_table_a_directory": ("report", lambda c, f: a_directory(
+        os.path.join(c["output_dir"], "percentile_table.json"))),
 }
 
 
@@ -1059,13 +1073,14 @@ def test_an_output_path_that_cannot_be_made_exits_2(tmp_path, capsys, name):
     blocker = tmp_path / "a_file"
     blocker.write_text("x")
     cfg["filter"]["tau"] = 0.5
-    edit(cfg, str(blocker))
+    named = edit(cfg, str(blocker)) or str(blocker)
     write_config(cfg_path, cfg)
     capsys.readouterr()
     assert run(command, cfg_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(blocker) in err
+    assert err.startswith("error: ") and named in err
     assert blocker.read_text() == "x"
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_hashed_dim_below_8_stops_train_filter_before_any_shard_is_read(tmp_path, capsys,
@@ -1079,6 +1094,31 @@ def test_hashed_dim_below_8_stops_train_filter_before_any_shard_is_read(tmp_path
     assert "hashed embedding dim must be at least 8" in capsys.readouterr().err
     assert not os.path.exists(cfg["output_dir"])
     assert opened == []
+
+
+def config_kind(key: str):
+    """The kind in `cli.CONFIG_KEYS` of a dotted key whose list indices are
+    left out, or None if no key has that name."""
+    kind = cli.CONFIG_KEYS
+    for name in key.split("."):
+        if isinstance(kind, list):  # a list of sections: the kind of its entries
+            kind = kind[0]
+        if not isinstance(kind, dict) or name not in kind:
+            return None
+        kind = kind[name]
+    return kind
+
+
+def test_every_bound_names_a_config_key():
+    # a renamed key would otherwise leave its bound unchecked, with no error
+    for key in [*cli.AT_LEAST, *cli.POSITIVE]:
+        assert config_kind(key) in (int, float), key
+    for key, field in cli.UNIQUE.items():
+        kind = config_kind(key)
+        assert isinstance(kind, list) and isinstance(kind[0], dict) and field in kind[0], key
+    assert config_kind("plan.languages.weight") is float
+    assert config_kind("plan.languages.size") is None
+    assert config_kind("seed.size") is None
 
 
 def test_integral_values_pass_int_keys():

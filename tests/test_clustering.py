@@ -390,6 +390,60 @@ def test_near_tie_goes_to_lowest_id():
     assert assign_batch(model, x[None, :])[0] == 0
 
 
+def test_near_ties_in_later_blocks_go_to_lowest_id():
+    # test_near_tie_goes_to_lowest_id's construction, at the ends of the first
+    # block, at the start of the second and inside the third; every other row
+    # is centroid 1. Its seed-0 x comes out of a block's matrix product as an
+    # exact tie, which argmin settles right by itself; seed 8's does not.
+    rng = np.random.default_rng(8)
+    x = 100.0 + rng.normal(size=8)
+    v = rng.normal(size=8)
+    C = np.stack([x + v, x - v])
+    direct = ((x - C) ** 2).sum(axis=1)
+    assert direct[0] <= direct[1]
+    X = np.tile(C[1], (2 * _BLOCK_ROWS + 4, 1))
+    at = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3]
+    X[at] = x
+    # the expanded form, one block at a time, prefers cluster 1 at every row
+    for lo in range(0, len(X), _BLOCK_ROWS):
+        block = X[lo : lo + _BLOCK_ROWS]
+        assert np.all(np.argmin(_sq_distances(block, C, _row_norms(block)), axis=1) == 1)
+    model = ClusterModel(centroids=C, K=2, dim=8, capacity=1, seed=0)
+    labels = assign_batch(model, X)
+    assert np.flatnonzero(labels == 0).tolist() == at
+    assert histogram_over_clusters(model, X, "ties").counts.tolist() == [4, len(X) - 4]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_assignment_equals_the_direct_form_on_repeated_points(seed):
+    # repeated points, each halfway between the two centroids of its pair; the
+    # expanded form alone gets about a third of the rows wrong here
+    rng = np.random.default_rng(seed)
+    base = 100.0 + rng.normal(size=(9, 8))
+    v = rng.normal(size=(9, 8))
+    C = np.concatenate([base + v, base - v])
+    X = base[rng.integers(0, 9, 2 * _BLOCK_ROWS + 3)]
+    direct = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+    model = ClusterModel(centroids=C, K=len(C), dim=8, capacity=1, seed=0)
+    assert np.array_equal(assign_batch(model, X), np.argmin(direct, axis=1))
+
+
+def test_assignment_memory_does_not_grow_with_n_times_k():
+    C = np.random.default_rng(1).normal(size=(64, 8))
+    model = ClusterModel(centroids=C, K=64, dim=8, capacity=1, seed=0)
+    peaks = []
+    for n in (_BLOCK_ROWS, 16 * _BLOCK_ROWS):
+        X = np.random.default_rng(2).normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            assign_batch(model, X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the (n, K) distances of the whole batch alone would make this 16x
+    assert peaks[1] <= 3 * peaks[0], peaks
+
+
 def test_assign_interior_points_stable():
     X, truth = two_blobs(200, separation=10.0, seed=6)
     model = fit_balanced_kmeans(X, K=2, seed=6)

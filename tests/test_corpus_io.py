@@ -70,6 +70,26 @@ def test_malformed_lines_are_counted_not_kept(tmp_path):
     assert stream.malformed == 10_000 and stream.first_malformed == (1, "missing field 'lang'")
 
 
+def test_reading_holds_one_block_of_lines_at_a_time(tmp_path):
+    # 100 lines of about 740 bytes fill one 64 KiB block of lines and start a
+    # second, so the peak over 10 000 lines shows whether the finished block is
+    # still held while the next one is read
+    text = b'{"id":"x","text":"' + b"a" * 700
+    lines = [text + b'","source":"s"}\n', text + b"\n"]  # no lang; not JSON
+    peaks = []
+    for n in (100, 10_000):
+        path = tmp_path / f"bad{n}.jsonl"
+        path.write_bytes(b"".join(lines[i % 2] for i in range(n)))
+        tracemalloc.start()
+        try:
+            for _ in read_shard(str(path)):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def read_around(tmp_path, bad_line: bytes):
     """Read a shard holding bad_line between two valid documents."""
     path = str(tmp_path / "a.jsonl")
